@@ -20,14 +20,25 @@ def _json_dumps(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_variant(text):
+def _variant(text):
     """'3' means the upper variant at k=3, '3bar' the barred one."""
-    if text is None:
-        return "full", None
     body = text.strip()
+    kind = "upper"
     if body.endswith("bar"):
-        return "barred", int(body[:-3])
-    return "upper", int(body)
+        kind, body = "barred", body[:-3]
+    try:
+        return kind, int(body)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected K or Kbar with K an integer")
+
+
+def _window(text):
+    try:
+        return SignedPerm.parse(text)
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError(
+            "expected a signed permutation like [2,-1], got %r" % text)
 
 
 def _read_config(path):
@@ -44,14 +55,20 @@ def _read_config(path):
     return values
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def build_parser():
@@ -73,9 +90,9 @@ def build_parser():
     p = sub.add_parser("show", help="print an algebraic object")
     p.add_argument("what", choices=("f", "ff", "ideal", "schubert"))
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--l", type=int)
+    p.add_argument("--l", type=_nonnegative_int)
     p.add_argument("--k", type=_positive_int)
-    p.add_argument("--variant")
+    p.add_argument("--variant", type=_variant, default=("full", None))
     p.add_argument("--barred", action="store_true")
     p.add_argument("--trunc", type=_positive_int)
     p.add_argument("--json", action="store_true")
@@ -89,12 +106,14 @@ def build_parser():
     p = sub.add_parser("alcove", help="alcove-model utilities")
     asub = p.add_subparsers(dest="alcove_command", required=True)
     a = asub.add_parser("list", help="list admissible subsets")
-    a.add_argument("--w", required=True, help='window notation, e.g. "[2,-1]"')
+    a.add_argument("--w", type=_window, required=True,
+                   help='window notation, e.g. "[2,-1]"')
     a.add_argument("--seq", required=True, help="theta:K or gamma:K")
     a.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ic", help="evaluate the inverse Chevalley formula")
-    p.add_argument("--w", required=True, help='window notation, e.g. "[2,3,-1]"')
+    p.add_argument("--w", type=_window, required=True,
+                   help='window notation, e.g. "[2,3,-1]"')
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
@@ -150,7 +169,7 @@ def _cmd_show(args, parser):
     if args.what in ("f", "ff"):
         if args.l is None:
             parser.error("show %s requires --l" % args.what)
-        variant, k = _parse_variant(args.variant)
+        variant, k = args.variant
         if args.what == "f":
             obj = qkpres.f_poly(n, args.l, variant, k, args.trunc)
             if args.json:
@@ -187,7 +206,7 @@ def _cmd_show(args, parser):
 
 
 def _cmd_alcove(args, parser):
-    w = SignedPerm.parse(args.w)
+    w = args.w
     try:
         name, k_text = args.seq.split(":")
         k = int(k_text)
@@ -213,8 +232,7 @@ def _cmd_alcove(args, parser):
 
 
 def _cmd_ic(args):
-    w = SignedPerm.parse(args.w)
-    value = ichevalley.inverse_chevalley(w, args.m)
+    value = ichevalley.inverse_chevalley(args.w, args.m)
     if args.json:
         sys.stdout.write(_json_dumps(value.to_json()))
     else:

@@ -7,10 +7,12 @@ cross-checked exhaustively in the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .rings import ConfigError
 from .weylc import (
+    RootC,
     enumerate_group,
     order_key,
     pairing,
@@ -45,14 +47,20 @@ class QbgEdge:
         return "QbgEdge(%r)" % self.render()
 
 
+@functools.lru_cache(maxsize=None)
+def _reflection_and_drop(n, kind, i, j):
+    """s_root and the quantum length drop 2<rho, root^vee> - 1."""
+    root = RootC(n, kind, i, j)
+    return root.reflection(), 2 * pairing(rho_vector(n), root.coroot()) - 1
+
+
 def edge_by_length(w, root):
     """Classify w -> w s_root by the length conditions; None if no edge."""
-    target = w * root.reflection()
-    lw, lt = w.length(), target.length()
+    reflection, drop = _reflection_and_drop(root.n, root.kind, root.i, root.j)
+    lw, lt = w.length(), (w * reflection).length()
     if lt == lw + 1:
         return "B"
-    rho = rho_vector(w.n)
-    if lt == lw - 2 * pairing(rho, root.coroot()) + 1:
+    if lt == lw - drop:
         return "Q"
     return None
 

@@ -1,34 +1,20 @@
 """Suite runners and verification reports.
 
 Each suite re-checks one layer of the construction at a chosen rank and
-returns a deterministic list of check records; suites fan out over a
-thread pool sized by the QKC_THREADS environment variable.
+returns a deterministic list of check records.  Every check runs in
+order on the calling thread, so profilers see all of the work.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
 from .rings import ConfigError, specialize_Q_zero
 from .weylc import enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
-
-
-def thread_count():
-    value = os.environ.get("QKC_THREADS")
-    if value:
-        try:
-            count = int(value)
-        except ValueError:
-            raise ConfigError("QKC_THREADS must be an integer")
-        if count < 1:
-            raise ConfigError("QKC_THREADS must be positive")
-        return count
-    return min(os.cpu_count() or 1, 8)
 
 
 class VerificationReport:
@@ -78,12 +64,10 @@ class VerificationReport:
 
 
 def _run_tasks(tasks):
-    """Run (callable -> record list) tasks on the pool, keeping order."""
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = [pool.submit(_timed, fn) for fn in tasks]
-        out = []
-        for future in futures:
-            out.extend(future.result())
+    """Run (callable -> record list) tasks in order on this thread."""
+    out = []
+    for fn in tasks:
+        out.extend(_timed(fn))
     return out
 
 
@@ -109,32 +93,26 @@ def _suite_qbg(n, trunc):
     return _run_tasks(tasks)
 
 
-def _mountain(n, k):
-    return ichevalley.mountain(n, k)
-
-
-def _staircase(n, k):
-    return ichevalley.staircase(n, k)
-
-
 def _alpha_range(n, a, b):
     return tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
 
 
 def _check_mountain_theta(n, k):
-    fam = alcove.admissible_subsets(_mountain(n, k), alcove.theta_seq(n, k))
+    fam = alcove.admissible_subsets(ichevalley.mountain(n, k),
+                                    alcove.theta_seq(n, k))
     if k == 1:
         ok = [a.positions for a in fam] == [()]
         return [("mountain-theta-k%d" % k, ok, "")]
     ok = (len(fam) == 2
           and fam[1].sequence.absolute(fam[1].positions[0]).pair_label()
           == (k - 1, k)
-          and fam[1].end == _mountain(n, k - 1))
+          and fam[1].end == ichevalley.mountain(n, k - 1))
     return [("mountain-theta-k%d" % k, ok, "")]
 
 
 def _check_mountain_gamma(n, k):
-    fam = alcove.admissible_subsets(_mountain(n, k), alcove.gamma_seq(n, k))
+    fam = alcove.admissible_subsets(ichevalley.mountain(n, k),
+                                    alcove.gamma_seq(n, k))
     got = {a.positions: a for a in fam}
     seq = alcove.gamma_seq(n, k)
     idx = {root.pair_label(): p for p, (_, root) in enumerate(seq.entries)}
@@ -143,23 +121,24 @@ def _check_mountain_gamma(n, k):
     if k < n:
         next_p = idx[(k, k + 1)]
         ok = set(got) == {(), (next_p,), (long_p,), (long_p, next_p)}
-        ok = ok and got[(next_p,)].end == _mountain(n, k + 1)
+        ok = ok and got[(next_p,)].end == ichevalley.mountain(n, k + 1)
         ok = ok and got[(next_p,)].down == _alpha_range(n, k, k)
-        ok = ok and got[(long_p, next_p)].end == _staircase(n, k)
+        ok = ok and got[(long_p, next_p)].end == ichevalley.staircase(n, k)
         ok = ok and got[(long_p, next_p)].down == _alpha_range(n, k, n)
     else:
         ok = set(got) == {(), (long_p,)}
-    ok = ok and got[(long_p,)].end == _staircase(n, k - 1)
+    ok = ok and got[(long_p,)].end == ichevalley.staircase(n, k - 1)
     ok = ok and got[(long_p,)].down == _alpha_range(n, k, n)
     return [("mountain-gamma-k%d" % k, ok, "")]
 
 
 def _check_staircase_gamma(n, j):
-    fam = alcove.admissible_subsets(_staircase(n, j - 1), alcove.gamma_seq(n, j))
+    fam = alcove.admissible_subsets(ichevalley.staircase(n, j - 1),
+                                    alcove.gamma_seq(n, j))
     label = (j, j + 1) if j < n else (n, -n)
     ok = (len(fam) == 2
           and fam[1].sequence.absolute(fam[1].positions[0]).pair_label() == label
-          and fam[1].end == _staircase(n, j)
+          and fam[1].end == ichevalley.staircase(n, j)
           and fam[1].down == (0,) * n)
     return [("staircase-gamma-j%d" % j, ok, "")]
 
@@ -174,7 +153,7 @@ def _suite_alcove(n, trunc):
 
 
 def _check_ic(n, k):
-    got = ichevalley.inverse_chevalley(_mountain(n, k), k)
+    got = ichevalley.inverse_chevalley(ichevalley.mountain(n, k), k)
     ok = got == ichevalley.ic2_closed(n, k)
     return [("evaluator-vs-closed-form-k%d" % k, ok, "")]
 
@@ -241,11 +220,8 @@ def _suite_relations(n, trunc):
 
 
 def _check_phi_theta_psi(n, trunc):
-    import itertools
-
     degree = trunc if trunc is not None else 2 * n + 2
     pool = semimod.universe(n)
-    bad = None
     for size in range(len(pool) + 1):
         for I in itertools.combinations(pool, size):
             for j in pool:
@@ -256,10 +232,9 @@ def _check_phi_theta_psi(n, trunc):
                          * semimod.theta_sinf(n, I, j)
                          == semimod.psi(n, I, j))
                 if prod != psi_val or not exact:
-                    bad = (I, j)
-                    break
-    return [("phi-theta-equals-psi", bad is None,
-             "" if bad is None else "I=%s j=%s" % bad)]
+                    return [("phi-theta-equals-psi", False,
+                             "I=%s j=%s" % (I, j))]
+    return [("phi-theta-equals-psi", True, "")]
 
 
 def _suite_qkpres(n, trunc):

@@ -10,6 +10,7 @@ stored in the alpha^vee basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .rings import ConfigError, GroupRingElement
@@ -118,16 +119,22 @@ class SignedPerm:
         return "SignedPerm(%r)" % self.render()
 
     def length(self):
-        """Number of positive roots sent to negative roots."""
+        """Number of positive roots sent to negative roots.
+
+        Counted as inversions in the [1,1bar] order (Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, 8.1): with k_t the order key of
+        w(t), pairs t<u with k_t > k_u, pairs t<u with k_t > key(-w(u)),
+        i.e. k_t + k_u > 2n+1, and the negative entries.
+        """
+        n = self.n
+        keys = [x if x > 0 else 2 * n + 1 + x for x in self.window]
+        bound = 2 * n + 1
         count = 0
-        for root in positive_roots(self.n):
-            v = self.act_weight(root.weight())
-            for c in v:
-                if c > 0:
-                    break
-                if c < 0:
-                    count += 1
-                    break
+        for t, kt in enumerate(keys):
+            if kt > n:
+                count += 1
+            for ku in keys[t + 1:]:
+                count += (kt > ku) + (kt + ku > bound)
         return count
 
 
@@ -232,7 +239,9 @@ def root_from_label(n, i, j):
     return RootC(n, "plus", lo, hi)
 
 
+@functools.lru_cache(maxsize=None)
 def positive_roots(n):
+    """The n^2 positive roots of C_n, as a tuple built once per rank."""
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -242,7 +251,7 @@ def positive_roots(n):
             out.append(RootC(n, "plus", i, j))
     for i in range(1, n + 1):
         out.append(RootC(n, "long", i, i))
-    return out
+    return tuple(out)
 
 
 def simple_root_weight(n, i):
@@ -276,6 +285,7 @@ def coroot_sum(n, cvs):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def rho_vector(n):
     """rho = half the sum of the positive roots, in the eps-basis."""
     total = [0] * n

@@ -1,11 +1,13 @@
 import importlib.resources
 import json
+import threading
 
 import jsonschema
 import pytest
 
+from qkc import qbg, semimod, verify
 from qkc.cli import main
-from qkc.verify import SUITES, run_suite, thread_count
+from qkc.verify import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -46,20 +48,38 @@ def test_verify_json_with_timings_validates(capsys):
         assert "seconds" in rec
 
 
-def test_verify_output_is_byte_identical(capsys, monkeypatch):
-    monkeypatch.setenv("QKC_THREADS", "4")
+def test_verify_output_is_byte_identical(capsys):
     _, first = run(capsys, "verify", "--n", "2", "--json")
     _, second = run(capsys, "verify", "--n", "2", "--json")
     assert first == second
 
 
-def test_thread_override(monkeypatch):
-    monkeypatch.setenv("QKC_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("QKC_THREADS", "0")
-    from qkc.rings import ConfigError
-    with pytest.raises(ConfigError):
-        thread_count()
+def test_suites_run_on_the_calling_thread(monkeypatch):
+    seen = []
+    original = qbg.edge_by_pattern
+
+    def recording(w, root):
+        seen.append(threading.get_ident())
+        return original(w, root)
+
+    monkeypatch.setattr(qbg, "edge_by_pattern", recording)
+    assert run_suite("qbg", 2).ok
+    assert seen and set(seen) == {threading.get_ident()}
+
+
+def test_phi_theta_psi_reports_first_failure(monkeypatch):
+    original = semimod.psi
+    broken = {((), 2), ((1, 2, -2, -1), -1)}
+
+    def psi(n, I, j, trunc=None):
+        value = original(n, I, j, trunc)
+        return value + value if (tuple(I), j) in broken else value
+
+    monkeypatch.setattr(semimod, "psi", psi)
+    [(cid, ok, location)] = verify._check_phi_theta_psi(2, None)
+    assert cid == "phi-theta-equals-psi"
+    assert not ok
+    assert location == "I=() j=2"
 
 
 def test_exact_mode_ignores_trunc(capsys):
@@ -69,6 +89,19 @@ def test_exact_mode_ignores_trunc(capsys):
     report = json.loads(out)["reports"][0]
     assert report["mode"] == "exact"
     assert report["trunc"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["ic", "--w", "[a]", "--m", "1"],
+    ["show", "f", "--n", "2", "--l", "-1"],
+    ["show", "ff", "--n", "2", "--l", "1", "--variant", "abc"],
+])
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
 
 
 def test_invalid_rank_is_usage_error(capsys):

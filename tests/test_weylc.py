@@ -162,9 +162,36 @@ def test_length_changes_by_one_at_simple():
                 assert abs((w * SignedPerm.simple(n, i)).length() - lw) == 1
 
 
+def root_count_length(w):
+    """Reference length: the positive roots that w sends to negative roots."""
+    count = 0
+    for root in positive_roots(w.n):
+        v = w.act_weight(root.weight())
+        for c in v:
+            if c > 0:
+                break
+            if c < 0:
+                count += 1
+                break
+    return count
+
+
+def test_length_matches_root_count_on_whole_group():
+    for n in range(1, 6):
+        for w in enumerate_group(n):
+            assert w.length() == root_count_length(w), w
+
+
 def test_rho():
-    assert rho_vector(3) == (3, 2, 1)
-    assert rho_vector(4) == (4, 3, 2, 1)
+    for n in range(1, 7):
+        assert rho_vector(n) == tuple(range(n, 0, -1))
+
+
+def test_positive_roots_are_a_tuple_of_n_squared_roots():
+    for n in range(1, 7):
+        roots = positive_roots(n)
+        assert isinstance(roots, tuple)
+        assert len(roots) == len(set(roots)) == n * n
 
 
 def test_window_parse_render():
