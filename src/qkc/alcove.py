@@ -8,7 +8,7 @@ import itertools
 
 from .rings import ConfigError
 from .qbg import edge_by_length
-from .weylc import RootC, coroot_sum, order_key, root_from_label
+from .weylc import RootC, _eps, coroot_sum, order_key, root_from_label, universe
 
 
 class RootSequence:
@@ -128,8 +128,7 @@ def s_chains(n, m, j):
     km, kj = order_key(n, m), order_key(n, j)
     if not kj < km:
         raise ConfigError("need j < m in the [1,1bar] order")
-    between = [x for x in list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
-               if kj < order_key(n, x) < km]
+    between = [x for x in universe(n) if kj < order_key(n, x) < km]
     chains = []
     for r in range(len(between) + 1):
         for subset in itertools.combinations(between, r):
@@ -137,13 +136,6 @@ def s_chains(n, m, j):
             chains.append(tuple(chain) + (j,))
     chains.sort(key=lambda c: (len(c), tuple(order_key(n, x) for x in c)))
     return chains
-
-
-def _eps(n, l):
-    """The weight eps_l for a signed index l (eps_{jbar} = -eps_j)."""
-    v = [0] * n
-    v[abs(l) - 1] = 1 if l > 0 else -1
-    return tuple(v)
 
 
 def a_filtered(w, source, l):

@@ -166,42 +166,33 @@ def _laurent_json(p):
 
 def _cmd_show(args, parser):
     n = args.n
-    if args.what in ("f", "ff"):
-        if args.l is None:
-            parser.error("show %s requires --l" % args.what)
-        variant, k = args.variant
-        if args.what == "f":
-            obj = qkpres.f_poly(n, args.l, variant, k, args.trunc)
-            if args.json:
-                sys.stdout.write(_json_dumps(_laurent_json(obj)))
-            else:
-                print(obj.render())
-            return 0
-        obj = semimod.ff(n, args.l, variant, k, args.trunc)
-        if args.json:
-            triples = [{"w": w.render(), "lam": list(lam), "coeff": c.render()}
-                       for (w, lam), c in obj.sorted_terms()]
-            sys.stdout.write(_json_dumps(triples))
-        else:
-            print(obj.render())
-        return 0
+    if args.what in ("f", "ff") and args.l is None:
+        parser.error("show %s requires --l" % args.what)
+    if args.what == "schubert" and args.k is None:
+        parser.error("show schubert requires --k")
+    variant, k = args.variant
     if args.what == "ideal":
         gens = qkpres.ideal_generators(n, args.trunc)
-        if args.json:
-            sys.stdout.write(_json_dumps(
-                [_laurent_json(g) for g in gens]))
-        else:
-            for l, g in enumerate(gens, start=1):
-                print("F_%d - E_%d: %s" % (l, l, g.render()))
-        return 0
-    if args.k is None:
-        parser.error("show schubert requires --k")
-    variant = "barred" if args.barred else "upper"
-    obj = qkpres.schubert_poly(n, args.k, variant, args.trunc)
-    if args.json:
-        sys.stdout.write(_json_dumps(_laurent_json(obj)))
+        text = "\n".join("F_%d - E_%d: %s" % (l, l, g.render())
+                         for l, g in enumerate(gens, start=1))
+        payload = [_laurent_json(g) for g in gens]
+    elif args.what == "ff":
+        obj = semimod.ff(n, args.l, variant, k, args.trunc)
+        text = obj.render()
+        payload = [{"w": w.render(), "lam": list(lam), "coeff": c.render()}
+                   for (w, lam), c in obj.sorted_terms()]
     else:
-        print(obj.render())
+        if args.what == "f":
+            obj = qkpres.f_poly(n, args.l, variant, k, args.trunc)
+        else:
+            obj = qkpres.schubert_poly(
+                n, args.k, "barred" if args.barred else "upper", args.trunc)
+        text = obj.render()
+        payload = _laurent_json(obj)
+    if args.json:
+        sys.stdout.write(_json_dumps(payload))
+    else:
+        print(text)
     return 0
 
 

@@ -9,26 +9,18 @@ cancellation bookkeeping that links the general evaluator to them.
 from __future__ import annotations
 
 from .alcove import a_filtered, admissible_subsets, gamma_seq, s_chains, theta_seq
-from .rings import ConfigError, QExtElement
-from .weylc import SignedPerm, coroot_sum, pairing
+from .rings import ConfigError, KeyedSum, QExtElement
+from .weylc import SignedPerm, _alpha_range, _eps, coroot_sum, pairing
 
 
-class SemiClassSum:
+class SemiClassSum(KeyedSum):
     """Formal sum over keys (w, xi, lambda) with QExtElement coefficients.
 
     xi is a coroot-lattice vector in alpha^vee coordinates; the key stands
     for the class [O(w t_xi)(lambda)].
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    __slots__ = ()
 
     @classmethod
     def basis(cls, w, xi=None, lam=None, coeff=1, qexp=0):
@@ -41,31 +33,6 @@ class SemiClassSum:
             c = QExtElement.monomial(n, (0,) * n, coeff=coeff, qexp=qexp)
         return cls(n, {(w, xi, lam): c})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SemiClassSum(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SemiClassSum(self.n, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        return SemiClassSum(self.n, {k: v * c for k, v in self.terms.items()})
-
     def tensor(self, mu):
         """Tensor with O(mu): lambda -> lambda + mu on every key."""
         out = {}
@@ -73,10 +40,6 @@ class SemiClassSum:
             key = (w, xi, tuple(a + b for a, b in zip(lam, mu)))
             out[key] = v
         return SemiClassSum(self.n, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, SemiClassSum)
-                and self.n == other.n and self.terms == other.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -95,9 +58,6 @@ class SemiClassSum:
                 bits.append("(%s)" % ",".join(str(x) for x in lam))
             parts.append("(%s)*%s" % (v.render(), "".join(bits)))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "SemiClassSum(%r)" % self.render()
 
     def to_json(self):
         return [
@@ -123,14 +83,6 @@ def mountain(n, k):
     return w
 
 
-def _eps(n, j, sign=1):
-    return tuple(sign if t == j - 1 else 0 for t in range(n))
-
-
-def _alpha_range(n, a, b):
-    return tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
-
-
 def _chain_tuples(w, source, chain):
     """All tuples (A_1, ..., A_r) with A_1 in A_w^{source, j_1} and
     A_t in A_{ed(A_{t-1})}^{j_{t-1}, j_t}.  Yields (A-list, end, down, size)."""
@@ -149,6 +101,26 @@ def _chain_tuples(w, source, chain):
     yield from rec(w, source, list(chain))
 
 
+def _chain_blocks(w, m, j, barred):
+    """Yield (chain, A-list, block) for every chain tuple from -m to j, or
+    to jbar when barred.  The block is the B-sum over A(end, Gamma_j) with
+    twist +eps_j and q-exponent <eps_j, down>; barred targets use Theta_j,
+    twist -eps_j and the negative q-exponent."""
+    n = w.n
+    seq = theta_seq(n, j) if barred else gamma_seq(n, j)
+    lam = _eps(n, j, -1 if barred else 1)
+    for chain in s_chains(n, -m, -j if barred else j):
+        for alist, end, down, size in _chain_tuples(w, -m, chain):
+            sign = (-1) ** (size - len(chain))
+            qexp = pairing(_eps(n, j), down) * (-1 if barred else 1)
+            block = SemiClassSum.zero(n)
+            for b in admissible_subsets(end, seq):
+                block = block + SemiClassSum.basis(
+                    b.end, coroot_sum(n, [down, b.down]), lam,
+                    coeff=sign * (-1) ** b.size(), qexp=qexp)
+            yield chain, alist, block
+
+
 def inverse_chevalley(w, m):
     """The right-hand side of the expansion of e^{-w(eps_m)} [O(w)]."""
     n = w.n
@@ -161,29 +133,13 @@ def inverse_chevalley(w, m):
         total = total + SemiClassSum.basis(
             b.end, b.down, _eps(n, m, -1), coeff=(-1) ** b.size())
 
-    # chain blocks; barred targets use Theta with twist -eps_j and a
-    # negative q-exponent, unbarred targets use Gamma with twist +eps_j
+    # chain blocks; barred targets only beyond m
     for j in range(1, n + 1):
         for barred in (True, False):
             if barred and j <= m:
                 continue
-            target = -j if barred else j
-            for chain in s_chains(n, -m, target):
-                for _, end, down, size in _chain_tuples(w, -m, chain):
-                    r = len(chain)
-                    sign = (-1) ** (size - r)
-                    qexp = pairing(_eps(n, j), down)
-                    if barred:
-                        qexp = -qexp
-                        inner = admissible_subsets(end, theta_seq(n, j))
-                        lam = _eps(n, j, -1)
-                    else:
-                        inner = admissible_subsets(end, gamma_seq(n, j))
-                        lam = _eps(n, j, 1)
-                    for b in inner:
-                        total = total + SemiClassSum.basis(
-                            b.end, coroot_sum(n, [down, b.down]), lam,
-                            coeff=sign * (-1) ** b.size(), qexp=qexp)
+            for _, _, block in _chain_blocks(w, m, j, barred):
+                total = total + block
     return total
 
 
@@ -193,6 +149,20 @@ def ic_lhs(w, m):
     weight = tuple(-x for x in w.act_weight(_eps(n, m)))
     return SemiClassSum.basis(
         w, coeff=QExtElement.monomial(n, weight))
+
+
+def _staircase_block(n, k, top):
+    """q times the sum over j <= k of
+    [O(s_1..s_{j-1} t_xi)(eps_j)] - [O(s_1..s_j t_xi)(eps_j)],
+    xi = alpha_j^vee + ... + alpha_top^vee."""
+    total = SemiClassSum.zero(n)
+    for j in range(1, k + 1):
+        xi = _alpha_range(n, j, top)
+        total = total + SemiClassSum.basis(
+            staircase(n, j - 1), xi, _eps(n, j), qexp=1)
+        total = total - SemiClassSum.basis(
+            staircase(n, j), xi, _eps(n, j), qexp=1)
+    return total
 
 
 def ic2_closed(n, k):
@@ -208,13 +178,7 @@ def ic2_closed(n, k):
             mountain(n, j), xi, _eps(n, j, -1), qexp=1)
         total = total - SemiClassSum.basis(
             mountain(n, j - 1), xi, _eps(n, j, -1), qexp=1)
-    for j in range(1, k + 1):
-        xi = _alpha_range(n, j, n)
-        total = total + SemiClassSum.basis(
-            staircase(n, j - 1), xi, _eps(n, j), qexp=1)
-        total = total - SemiClassSum.basis(
-            staircase(n, j), xi, _eps(n, j), qexp=1)
-    return total
+    return total + _staircase_block(n, k, n)
 
 
 def ic1_data(n, k):
@@ -225,11 +189,7 @@ def ic1_data(n, k):
         staircase(n, k), coeff=QExtElement.monomial(n, _eps(n, 1)))
     rhs = SemiClassSum.basis(staircase(n, k), lam=_eps(n, k + 1))
     rhs = rhs - SemiClassSum.basis(staircase(n, k + 1), lam=_eps(n, k + 1))
-    for j in range(1, k + 1):
-        xi = _alpha_range(n, j, k)
-        rhs = rhs + SemiClassSum.basis(staircase(n, j - 1), xi, _eps(n, j), qexp=1)
-        rhs = rhs - SemiClassSum.basis(staircase(n, j), xi, _eps(n, j), qexp=1)
-    return lhs, rhs
+    return lhs, rhs + _staircase_block(n, k, k)
 
 
 def ic2_data(n, k):
@@ -248,26 +208,15 @@ def cancellation_report(n, k):
     w = mountain(n, k)
     contributions = []  # (j, chain, A-labels, term)
     for j in range(1, n + 1):
-        for chain in s_chains(n, -k, j):
-            for alist, end, down, size in _chain_tuples(w, -k, chain):
-                r = len(chain)
-                sign = (-1) ** (size - r)
-                qexp = pairing(_eps(n, j), down)
-                block = SemiClassSum.zero(n)
-                for b in admissible_subsets(end, gamma_seq(n, j)):
-                    block = block + SemiClassSum.basis(
-                        b.end, coroot_sum(n, [down, b.down]), _eps(n, j),
-                        coeff=sign * (-1) ** b.size(), qexp=qexp)
-                labels = tuple(a.render() for a in alist)
-                contributions.append((j, chain, labels, block))
+        for chain, alist, block in _chain_blocks(w, k, j, False):
+            labels = tuple(a.render() for a in alist)
+            contributions.append((j, chain, labels, block))
 
     def expected_chain(j, l, family):
-        """The chain tuple for the two proof families."""
-        if family == 1:
-            barred = tuple(-(t) for t in range(k + 1, l + 1))
-            return barred + tuple(range(l, j - 1, -1))
-        barred = tuple(-(t) for t in range(k + 1, l))
-        return barred + tuple(range(l, j - 1, -1))
+        """The chain tuple for the two proof families: the barred run goes
+        up to lbar in family 1 and stops below it in family 2."""
+        top = l + 1 if family == 1 else l
+        return tuple(-t for t in range(k + 1, top)) + tuple(range(l, j - 1, -1))
 
     pairs = []
     survivors = []
@@ -306,14 +255,7 @@ def cancellation_report(n, k):
     got_chains = {(j, chain) for j, chain, _ in survivors}
     ok = got_chains == expect_chains
 
-    closed_unbarred = SemiClassSum.zero(n)
-    for j in range(1, k + 1):
-        xi = _alpha_range(n, j, n)
-        closed_unbarred = closed_unbarred + SemiClassSum.basis(
-            staircase(n, j - 1), xi, _eps(n, j), qexp=1)
-        closed_unbarred = closed_unbarred - SemiClassSum.basis(
-            staircase(n, j), xi, _eps(n, j), qexp=1)
-    ok = ok and residual == closed_unbarred
+    ok = ok and residual == _staircase_block(n, k, n)
 
     return {
         "pairs": pairs,
@@ -330,17 +272,12 @@ def derive_recurrence(lhs, rhs, twist, target):
     the remaining keys whose coefficients are q-free.
     """
     n = lhs.n
-    combined = (rhs - lhs).tensor(twist)
-    q_one = {}
-    for key, v in combined.terms.items():
-        g = v.specialize_q_one()
-        if not g.is_zero():
-            q_one[key] = QExtElement.from_group(g)
-    combined = SemiClassSum(n, q_one)
+    combined = (rhs - lhs).tensor(twist).map_coefficients(
+        lambda v: QExtElement.from_group(v.specialize_q_one()))
     coeff = combined.terms.get(target)
     if coeff is None:
         raise ConfigError("target key absent after specialization")
-    unit = coeff.group_part_or_raise().monomial_or_none()
+    unit = coeff.specialize_q_one().monomial_or_none()
     if unit is None or unit[0] != (0,) * n or unit[1] not in (1, -1):
         raise ConfigError("target coefficient is not a unit")
     rest = SemiClassSum(

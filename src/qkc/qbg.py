@@ -18,6 +18,7 @@ from .weylc import (
     pairing,
     positive_roots,
     rho_vector,
+    universe,
 )
 
 
@@ -78,8 +79,7 @@ def edge_by_pattern(w, root):
         j = -root.i
     vi, vj = val(i), val(j)
     lo, hi = order_key(n, i), order_key(n, j)
-    inner = [val(x) for x in list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
-             if lo < order_key(n, x) < hi]
+    inner = [val(x) for x in universe(n) if lo < order_key(n, x) < hi]
     if root.kind == "minus" or root.kind == "long":
         if vi < vj:
             if not any(vi < v < vj for v in inner):

@@ -17,20 +17,21 @@ from .rings import (
     NovikovFraction,
     NovikovSeries,
     ZLaurentElement,
-    geometric_inverse,
 )
-from .semimod import SemiModElement, _eps_I as eps_I, adjacent_in, universe
-from .weylc import SignedPerm, order_key
+from .semimod import (
+    SemiModElement,
+    _eps_I as eps_I,
+    _t_mono,
+    _variant_pool,
+    adjacent_in,
+    phi,
+    universe,
+)
+from .weylc import SignedPerm, _eps, order_key
 
 
 def _one(n):
     return NovikovFraction.one(n)
-
-
-def _q_mono(n, a, b, coeff=1):
-    """Q_a Q_{a+1} ... Q_b as an exact series monomial."""
-    exps = tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
-    return NovikovSeries.monomial(n, exps, coeff=coeff)
 
 
 def _maybe_trunc(f, trunc):
@@ -40,123 +41,50 @@ def _maybe_trunc(f, trunc):
 def zeta(n, I, j, trunc=None):
     """The coefficient function attached to the z-side elements F_l."""
     I = frozenset(I)
+    out = _one(n)
     if j > 0:
         succ = j + 1 if j < n else -n
         if j in I and succ not in I:
-            out = NovikovFraction.from_series(
-                NovikovSeries.one(n) - _q_mono(n, j, j))
-        else:
-            out = _one(n)
-        return _maybe_trunc(out, trunc)
-    jj = -j
-    if jj == 1:
-        return _maybe_trunc(_one(n), trunc)
-    if adjacent_in(n, I, jj - 1, -(jj - 1)):
-        den = tuple(1 if t == jj - 2 else 0 for t in range(n))
-        num = (NovikovSeries.one(n) - _q_mono(n, jj - 1, jj - 1)
-               + _q_mono(n, jj - 1, n))
-        out = NovikovFraction(n, num, den)
-    elif -jj in I and -(jj - 1) not in I:
-        out = NovikovFraction.from_series(
-            NovikovSeries.one(n) - _q_mono(n, jj - 1, jj - 1))
-    else:
-        out = _one(n)
+            out = out - _t_mono(n, j, j)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            num = (NovikovSeries.one(n) - _t_mono(n, jj - 1, jj - 1)
+                   + _t_mono(n, jj - 1, n))
+            out = NovikovFraction(n, num, _eps(n, jj - 1))
+        elif -jj in I and -(jj - 1) not in I:
+            out = out - _t_mono(n, jj - 1, jj - 1)
     return _maybe_trunc(out, trunc)
 
 
 def eta(n, I, j, trunc=None):
     """The geometric-series correction absorbed by each z-variable."""
     I = frozenset(I)
-    if j > 0:
-        out = NovikovFraction.geometric(n, j) if j in I else _one(n)
-        return _maybe_trunc(out, trunc)
-    jj = -j
-    if jj == 1:
-        # Q_0 := 0 makes this factor 1
-        return _maybe_trunc(_one(n), trunc)
-    out = NovikovFraction.geometric(n, jj - 1) if -jj in I else _one(n)
+    out = _one(n)
+    if j > 0 and j in I:
+        out = NovikovFraction.geometric(n, j)
+    elif j < -1 and j in I:
+        # at j = 1bar, Q_0 := 0 makes this factor 1
+        out = NovikovFraction.geometric(n, -j - 1)
     return _maybe_trunc(out, trunc)
 
 
-def phi_Q(n, I, j, trunc=None):
-    """The quantum-side factor; zeta * eta = phi_Q pointwise."""
-    I = frozenset(I)
-    if j > 0:
-        succ = j + 1 if j < n else -n
-        if j in I and succ in I:
-            out = NovikovFraction.geometric(n, j)
-        else:
-            out = _one(n)
-        return _maybe_trunc(out, trunc)
-    jj = -j
-    if jj == 1:
-        return _maybe_trunc(_one(n), trunc)
-    if adjacent_in(n, I, jj - 1, -(jj - 1)):
-        den = tuple(1 if t == jj - 2 else 0 for t in range(n))
-        num = (NovikovSeries.one(n) - _q_mono(n, jj - 1, jj - 1)
-               + _q_mono(n, jj - 1, n))
-        out = NovikovFraction(n, num, den)
-    elif -jj in I and -(jj - 1) in I:
-        out = NovikovFraction.geometric(n, jj - 1)
-    else:
-        out = _one(n)
-    return _maybe_trunc(out, trunc)
-
-
-class CoeffFunctionTable:
-    """The zeta, eta and phi values of one index set across [1,1bar]."""
-
-    __slots__ = ("n", "index_set", "rows")
-
-    def __init__(self, n, index_set, trunc=None):
-        self.n = n
-        self.index_set = frozenset(index_set)
-        self.rows = {
-            j: (zeta(n, index_set, j, trunc),
-                eta(n, index_set, j, trunc),
-                phi_Q(n, index_set, j, trunc))
-            for j in universe(n)}
-
-    def product_identity_holds(self):
-        return all(z * h == p for z, h, p in self.rows.values())
-
-    def render(self):
-        lines = []
-        for j in universe(self.n):
-            z, h, p = self.rows[j]
-            lines.append("%s: zeta=%s eta=%s phi=%s"
-                         % (j, z.render(), h.render(), p.render()))
-        return "\n".join(lines)
+def factorization_holds(n, I, trunc=None):
+    """zeta * eta = phi at every position of [1,1bar] for the index set I."""
+    return all(zeta(n, I, j, trunc) * eta(n, I, j, trunc) == phi(n, I, j, trunc)
+               for j in universe(n))
 
 
 def check_coefficient_factorization(n, trunc=None):
-    """zeta * eta = phi_Q for every subset of [1,1bar] and every position."""
+    """zeta * eta = phi for every subset of [1,1bar] and every position."""
     results = []
     pool = universe(n)
     for size in range(len(pool) + 1):
         for I in itertools.combinations(pool, size):
-            table = CoeffFunctionTable(n, I, trunc)
             results.append((
                 "zeta-eta-phi-I%s" % (sorted(I, key=lambda x: order_key(n, x)),),
-                table.product_identity_holds(), ""))
+                factorization_holds(n, I, trunc), ""))
     return results
-
-
-def _variant_pool(n, variant, k):
-    if variant == "full":
-        return universe(n)
-    if variant == "upper":
-        if k is None or not 0 <= k <= n:
-            raise ConfigError("k out of range")
-        return list(range(1, k + 1))
-    if variant == "barred":
-        if k is None or not 0 <= k <= n:
-            raise ConfigError("k out of range")
-        if k == n:
-            return list(range(1, n + 1))
-        bound = order_key(n, -(k + 1))
-        return [x for x in universe(n) if order_key(n, x) <= bound]
-    raise ConfigError("unknown variant %r" % variant)
 
 
 def f_poly(n, l, variant="full", k=None, trunc=None):
@@ -205,8 +133,7 @@ def schubert_poly(n, k, variant="upper", trunc=None):
     out = ZLaurentElement.zero(n)
     for l in range(top + 1):
         sign = 1 if l % 2 == 0 else -1
-        weight = GroupRingElement.monomial(
-            n, tuple(-l if t == 0 else 0 for t in range(n)), sign)
+        weight = GroupRingElement.monomial(n, _eps(n, 1, -l), sign)
         out = out + f_poly(n, l, variant, k, trunc) * weight
     return out
 
@@ -218,27 +145,15 @@ def _t_binomial(n, j):
     return NovikovSeries.one(n) - NovikovSeries.variable(n, j)
 
 
-def _z_factor(n, j, power, sample):
+def _z_factor(n, j, power, trunc):
     """The module-side factor replacing z_j^{power}: each positive power
-    contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse."""
-    if isinstance(sample, NovikovFraction):
-        if power > 0:
-            out = NovikovFraction(
-                n, _t_binomial(n, j - 1),
-                tuple(1 if t == j - 1 else 0 for t in range(n)))
-        else:
-            den = tuple(1 if t == j - 2 else 0 for t in range(n))
-            out = NovikovFraction(n, _t_binomial(n, j), den)
-        return out ** abs(power)
-    trunc = sample.trunc
+    contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse;
+    an exact fraction, expanded once to degree trunc when trunc is given."""
     if power > 0:
-        out = _t_binomial(n, j - 1).with_trunc(trunc)
-        out = out * geometric_inverse(n, j, trunc)
+        out = NovikovFraction(n, _t_binomial(n, j - 1), _eps(n, j))
     else:
-        out = _t_binomial(n, j).with_trunc(trunc)
-        if j >= 2:
-            out = out * geometric_inverse(n, j - 1, trunc)
-    return out ** abs(power)
+        out = NovikovFraction(n, _t_binomial(n, j), _eps(n, j - 1))
+    return _maybe_trunc(out ** abs(power), trunc)
 
 
 def to_semimod(p):
@@ -249,10 +164,11 @@ def to_semimod(p):
     e = SignedPerm.identity(n)
     out = SemiModElement.zero(n)
     for exps, c in p.sorted_terms():
+        trunc = None if isinstance(c, NovikovFraction) else c.trunc
         coeff = c
         for j, a in enumerate(exps, start=1):
             if a:
-                coeff = coeff * _z_factor(n, j, a, c)
+                coeff = coeff * _z_factor(n, j, a, trunc)
         lam = tuple(-a for a in exps)
         out = out + SemiModElement(n, {(e, lam): coeff})
     return out

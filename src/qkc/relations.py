@@ -11,15 +11,11 @@ symmetric polynomials E_0..E_n.
 from __future__ import annotations
 
 from .rings import ConfigError, DivisibilityError, GroupRingElement, exact_div
-from .weylc import demazure_D
+from .weylc import _eps, demazure_D
 
 
 class SolverError(ArithmeticError):
     """The triangular solve hit a non-unit leading coefficient."""
-
-
-def _eps(n, j, c=1):
-    return tuple(c if t == j - 1 else 0 for t in range(n))
 
 
 def _mono(n, exps, coeff=1):
@@ -105,15 +101,20 @@ def _geom(n, step, count):
     return out
 
 
-def derive_secondary(rel):
-    """Multiply by e^{eps_1}, apply D_1, divide by e^{eps_1}(1 - e^{eps_1+eps_2})."""
+def _derivation_step(rel, k):
+    """Multiply by e^{eps_k}, apply D_k, divide by e^{eps_k}(1 - e^{eps_k+eps_{k+1}})."""
     n = rel.n
-    if n < 2:
-        raise ConfigError("the derivation chain needs rank at least 2")
-    step = rel.scale(_mono(n, _eps(n, 1))).demazure(1)
-    d = _mono(n, _eps(n, 1)) - _mono(
-        n, tuple(a + b for a, b in zip(_eps(n, 1, 2), _eps(n, 2))))
+    step = rel.scale(_mono(n, _eps(n, k))).demazure(k)
+    d = _mono(n, _eps(n, k)) - _mono(
+        n, tuple(2 * a + b for a, b in zip(_eps(n, k), _eps(n, k + 1))))
     return step.divide(d)
+
+
+def derive_secondary(rel):
+    """The derivation step at k = 1."""
+    if rel.n < 2:
+        raise ConfigError("the derivation chain needs rank at least 2")
+    return _derivation_step(rel, 1)
 
 
 def secondary_literal(n):
@@ -168,14 +169,10 @@ def system_arbitrary(n, k):
 
 
 def induction_step(prev, k):
-    """Multiply by e^{eps_k}, apply D_k, divide by e^{eps_k}(1 - e^{eps_k+eps_{k+1}})."""
-    n = prev.n
-    if not 2 <= k <= n - 1:
+    """The derivation step at 2 <= k <= n - 1."""
+    if not 2 <= k <= prev.n - 1:
         raise ConfigError("need 2 <= k <= n - 1")
-    step = prev.scale(_mono(n, _eps(n, k))).demazure(k)
-    d = _mono(n, _eps(n, k)) - _mono(
-        n, tuple(2 * a + b for a, b in zip(_eps(n, k), _eps(n, k + 1))))
-    return step.divide(d)
+    return _derivation_step(prev, k)
 
 
 def chain_relation(n, k):
@@ -210,13 +207,11 @@ def e_poly(variables, m, n=None):
         n = variables[0].n
     if m < 0 or m > len(variables):
         return GroupRingElement.zero(n)
-    row = [GroupRingElement.one(n)]
+    row = [GroupRingElement.one(n)] + [GroupRingElement.zero(n)] * m
     for x in variables:
-        nxt = [row[0]]
-        for deg in range(1, len(row) + 1):
-            prev = row[deg] if deg < len(row) else GroupRingElement.zero(n)
-            nxt.append(prev + x * row[deg - 1])
-        row = nxt
+        # descending, so each variable enters a product at most once
+        for deg in range(m, 0, -1):
+            row[deg] = row[deg] + x * row[deg - 1]
     return row[m]
 
 
@@ -224,9 +219,8 @@ def _hyperbolic_vars(n, k):
     """e^{eps_1}, ..., e^{eps_k}, e^{-eps_k}, ..., e^{-eps_1} in rank n."""
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    plus = [_mono(n, _eps(n, j)) for j in range(1, k + 1)]
-    minus = [_mono(n, _eps(n, j, -1)) for j in range(k, 0, -1)]
-    return plus + minus
+    signed = list(range(1, k + 1)) + list(range(-k, 0))
+    return [_mono(n, _eps(n, j)) for j in signed]
 
 
 def complete_h(n, l, k):

@@ -1,22 +1,43 @@
 """Exact arithmetic kernel.
 
-Four term-map based ring types, all immutable by convention:
+All integer-coefficient arithmetic lives in `Poly`: a sparse map from flat
+int-tuple exponent keys to nonzero integers, multiplied term by term
+(the flat exponent-vector representation of Monagan & Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009).  Three
+subclasses fix the key layout, the constructors and the printed form;
+they have no arithmetic of their own.  Each key holds only the blocks
+its ring uses:
 
 * GroupRingElement -- the group ring Z[P] = Z[e^{+-eps_1}, ..., e^{+-eps_n}],
-  monomials keyed by integer exponent vectors in the eps-basis.
-* QExtElement -- Z[q^{+-1}][P], keys (q exponent, exponent vector).
+  keys (w_1..w_n), the exponent vector in the eps-basis.
+* QExtElement -- Z[q^{+-1}][P], keys (q, w_1..w_n).
 * NovikovSeries -- power series in n commuting variables (Q_1..Q_n, or the
-  shift variables T_1..T_n) with QExtElement coefficients, either truncated
-  at a total degree or kept as an exact polynomial (trunc=None).
-* ZLaurentElement -- Laurent polynomials in z_1..z_n over NovikovSeries
-  (or NovikovFraction) coefficients.
+  shift variables T_1..T_n) over Z[q^{+-1}][P], keys
+  (deg, x_1..x_n, q, w_1..w_n) with deg = x_1 + ... + x_n.  The series is
+  truncated at total degree `trunc`, or kept as an exact polynomial
+  (trunc=None).  With deg in front, a product term is dropped when
+  ka[0] + kb[0] > trunc; deg never decides the printed order.
 
-NovikovFraction provides the denominator-cleared exact mode: a numerator
-polynomial together with multiplicities of (1 - x_j) factors in the
-denominator, compared by cross-multiplication.
+Each layout is the next one with its leading slots removed, so an
+operation on two layouts pads the narrower keys on the left with zeros
+and returns the wider layout.  Values that are equal compare equal, and
+hash equal, whatever their layout; an int is a constant of any layout.
+
+NovikovFraction is the denominator-cleared exact mode: an exact
+NovikovSeries numerator together with multiplicities of (1 - x_j) factors
+in the denominator, compared by cross-multiplication.  Fractions are never
+reduced to lowest terms: the checks only compare them, which needs no
+polynomial gcd, so a fraction prints its numerator as it was computed.
+
+KeyedSum is a finite sum over hashable basis keys with Poly or
+NovikovFraction coefficients.  ZLaurentElement (keys: exponent vectors of
+z_1..z_n), semimod.SemiModElement and ichevalley.SemiClassSum add only
+their keys' printed form and their own products.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 class ConfigError(ValueError):
@@ -27,26 +48,42 @@ class DivisibilityError(ArithmeticError):
     """exact_div was asked for a quotient that does not exist."""
 
 
-def _merged(a, b, sign=1):
-    """Merge two term maps, dropping zero coefficients."""
-    out = dict(a)
-    for key, c in b.items():
-        nc = out.get(key, 0) + sign * c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-    return out
+def _lead(level, n):
+    """Number of key slots in front of the weight block of a layout."""
+    return (0, 1, n + 2)[level]
 
 
-class GroupRingElement:
-    """Sparse element of Z[P]; terms maps exponent vectors to integers."""
+def _lift(value, level, n):
+    """The terms of an int or Poly padded on the left to a wider layout."""
+    if isinstance(value, int):
+        return {(0,) * (_lead(level, n) + n): value} if value else {}
+    if not isinstance(value, Poly) or value._level > level:
+        raise ConfigError("cannot use %r as a coefficient" % (value,))
+    pad = (0,) * (_lead(level, n) - _lead(value._level, n))
+    return {pad + k: v for k, v in value.terms.items()}
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None):
+class Poly:
+    """Sparse polynomial with integer coefficients over flat int keys.
+
+    A subclass sets `_level` (0 group ring, 1 q-extended, 2 series); trunc
+    is None except for truncated series.
+    """
+
+    __slots__ = ("n", "trunc", "terms")
+    _level = 0
+
+    def __init__(self, n, terms=None, trunc=None):
         self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.trunc = trunc
+        self.terms = {k: v for k, v in (terms or {}).items()
+                      if v and (trunc is None or k[0] <= trunc)}
+
+    def _like(self, terms):
+        """A value of this layout and trunc over already clean terms."""
+        out = object.__new__(type(self))
+        out.n, out.trunc, out.terms = self.n, self.trunc, terms
+        return out
 
     @classmethod
     def zero(cls, n):
@@ -54,7 +91,185 @@ class GroupRingElement:
 
     @classmethod
     def one(cls, n):
-        return cls(n, {(0,) * n: 1})
+        return cls(n, _lift(1, cls._level, n))
+
+    def is_zero(self):
+        return not self.terms
+
+    def _pair(self, other):
+        """(operand whose layout the result takes, self's terms, other's
+        terms) with both term maps in that layout; None when other is not
+        an int or a Poly."""
+        if isinstance(other, int):
+            return self, self.terms, _lift(other, self._level, self.n)
+        if not isinstance(other, Poly):
+            return None
+        if self.n != other.n:
+            raise ConfigError("rank mismatch: %d vs %d" % (self.n, other.n))
+        if self._level == other._level:
+            if self.trunc != other.trunc:
+                raise ConfigError(
+                    "truncation mismatch: %r vs %r" % (self.trunc, other.trunc))
+            return self, self.terms, other.terms
+        if self._level > other._level:
+            return self, self.terms, _lift(other, self._level, self.n)
+        return other, _lift(self, other._level, self.n), other.terms
+
+    def _merge(self, other, sign):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        like, ta, tb = pair
+        out = dict(ta)
+        for k, v in tb.items():
+            s = out.get(k, 0) + sign * v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return like._like(out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._like(
+                {k: v * other for k, v in self.terms.items()} if other else {})
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        like, ta, tb = pair
+        trunc = like.trunc
+        out = {}
+        get = out.get
+        for ka, va in ta.items():
+            room = None if trunc is None else trunc - ka[0]
+            for kb, vb in tb.items():
+                if room is not None and kb[0] > room:
+                    continue
+                key = tuple(map(add, ka, kb))
+                out[key] = get(key, 0) + va * vb
+        return like._like({k: v for k, v in out.items() if v})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, m):
+        if m < 0:
+            raise ConfigError("negative power of a ring element")
+        out = self._like(_lift(1, self._level, self.n))
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            m >>= 1
+            if m:
+                base = base * base
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, Poly) and (
+                self.n != other.n or (self._level == other._level
+                                      and self.trunc != other.trunc)):
+            return False
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[1] == pair[2]
+
+    def __hash__(self):
+        # Equal values hash alike across layouts, and a constant hashes
+        # like the int it equals; the weight block is common to all keys.
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            (key, v), = self.terms.items()
+            if not any(key):
+                return hash(v)
+        lead = _lead(self._level, self.n)
+        return hash(frozenset((k[lead:], v) for k, v in self.terms.items()))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def monomial_or_none(self):
+        """Return (key, coeff) if this is a single term, else None."""
+        if len(self.terms) == 1:
+            (key, coeff), = self.terms.items()
+            return key, coeff
+        return None
+
+    def map_group_parts(self, fn):
+        """Apply fn (GroupRingElement -> GroupRingElement) to the Z[P] part
+        of every coefficient: to each slice of terms that agree on all key
+        slots in front of the weight block."""
+        lead = _lead(self._level, self.n)
+        slices = {}
+        for k, v in self.terms.items():
+            slices.setdefault(k[:lead], {})[k[lead:]] = v
+        out = {}
+        for head, part in slices.items():
+            for k, v in fn(GroupRingElement(self.n, part)).terms.items():
+                out[head + k] = v
+        return self._like(out)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.render())
+
+
+def _render_terms(items):
+    """Signed sum of (q exponent, weight, coeff) terms, e.g. "q*e[1,0] - 2"."""
+    if not items:
+        return "0"
+    parts = []
+    for qe, exps, coeff in items:
+        factors = []
+        if qe == 1:
+            factors.append("q")
+        elif qe:
+            factors.append("q^%d" % qe)
+        if any(exps):
+            factors.append("e[%s]" % ",".join(str(a) for a in exps))
+        body = "*".join(factors) if factors else "1"
+        if abs(coeff) != 1:
+            body = "%d*%s" % (abs(coeff), body) if factors else str(abs(coeff))
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _monomial_text(var, exps):
+    """x1*x2^3-style product of the variables with nonzero exponents."""
+    return "*".join("%s%d" % (var, i + 1) if e == 1 else "%s%d^%d" % (var, i + 1, e)
+                    for i, e in enumerate(exps) if e)
+
+
+def _render_products(pairs):
+    """ " + "-joined (monomial text, coefficient text) pairs; an empty
+    monomial prints the bare "(coeff)", a coefficient "1" the bare
+    monomial."""
+    parts = []
+    for mono, ctext in pairs:
+        if not mono:
+            parts.append("(%s)" % ctext)
+        elif ctext == "1":
+            parts.append(mono)
+        else:
+            parts.append("(%s)*%s" % (ctext, mono))
+    return " + ".join(parts) if parts else "0"
+
+
+class GroupRingElement(Poly):
+    """Sparse element of Z[P]; keys are exponent vectors."""
+
+    __slots__ = ()
+    _level = 0
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
@@ -63,259 +278,51 @@ class GroupRingElement:
             raise ConfigError("exponent vector has wrong rank")
         return cls(n, {exps: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ConfigError("rank mismatch: %d vs %d" % (self.n, other.n))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.one(self.n) * other
-        self._check(other)
-        return GroupRingElement(self.n, _merged(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.one(self.n) * other
-        self._check(other)
-        return GroupRingElement(self.n, _merged(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return GroupRingElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(
-                self.n, {k: v * other for k, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                nc = out.get(key, 0) + va * vb
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
-        return GroupRingElement(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if m < 0:
-            raise ConfigError("negative power of a ring element")
-        out = GroupRingElement.one(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def monomial_or_none(self):
-        """Return (exps, coeff) if this is a single term, else None."""
-        if len(self.terms) == 1:
-            (exps, coeff), = self.terms.items()
-            return exps, coeff
-        return None
-
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            mono = "e[%s]" % ",".join(str(a) for a in exps)
-            if all(a == 0 for a in exps):
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = "%d*%s" % (abs(coeff), mono)
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return "GroupRingElement(%r)" % self.render()
-
-    def to_json(self):
-        return [[list(k), v] for k, v in self.sorted_terms()]
+        return _render_terms([(0, k, v) for k, v in self.sorted_terms()])
 
 
-class QExtElement:
-    """Sparse element of Z[q^{+-1}][P]; keys are (q exponent, exps)."""
+class QExtElement(Poly):
+    """Sparse element of Z[q^{+-1}][P]; keys are (q exponent, *exps)."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(0, (0,) * n): 1})
+    __slots__ = ()
+    _level = 1
 
     @classmethod
     def monomial(cls, n, exps, coeff=1, qexp=0):
-        return cls(n, {(qexp, tuple(exps)): coeff})
+        return cls(n, {(qexp,) + tuple(exps): coeff})
 
     @classmethod
-    def from_group(cls, g, qexp=0):
-        return cls(g.n, {(qexp, k): v for k, v in g.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return QExtElement.one(self.n) * other
-        if isinstance(other, GroupRingElement):
-            return QExtElement.from_group(other)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        return QExtElement(self.n, _merged(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        return QExtElement(self.n, _merged(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return QExtElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QExtElement(
-                self.n, {k: v * other for k, v in self.terms.items()})
-        other = self._coerce(other)
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        out = {}
-        for (qa, ka), va in self.terms.items():
-            for (qb, kb), vb in other.terms.items():
-                key = (qa + qb, tuple(x + y for x, y in zip(ka, kb)))
-                nc = out.get(key, 0) + va * vb
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
-        return QExtElement(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, GroupRingElement)):
-            other = self._coerce(other)
-        return (isinstance(other, QExtElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+    def from_group(cls, g):
+        return cls(g.n, {(0,) + k: v for k, v in g.terms.items()})
 
     def specialize_q_one(self):
         """Ring map q := 1 onto GroupRingElement."""
         out = {}
-        for (_, exps), v in self.terms.items():
-            nc = out.get(exps, 0) + v
-            if nc:
-                out[exps] = nc
-            else:
-                del out[exps]
+        for k, v in self.terms.items():
+            out[k[1:]] = out.get(k[1:], 0) + v
         return GroupRingElement(self.n, out)
 
-    def group_part_or_raise(self):
-        """Interpret a q-degree-zero element as a GroupRingElement."""
-        for (qe, _) in self.terms:
-            if qe != 0:
-                raise ConfigError("element has a nontrivial q part")
-        return GroupRingElement(
-            self.n, {exps: v for (_, exps), v in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (qe, exps), coeff in self.sorted_terms():
-            factors = []
-            if qe == 1:
-                factors.append("q")
-            elif qe:
-                factors.append("q^%d" % qe)
-            if any(exps):
-                factors.append("e[%s]" % ",".join(str(a) for a in exps))
-            body = "*".join(factors) if factors else "1"
-            if abs(coeff) != 1:
-                body = "%d*%s" % (abs(coeff), body) if factors else str(abs(coeff))
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return "QExtElement(%r)" % self.render()
+        return _render_terms([(k[0], k[1:], v) for k, v in self.sorted_terms()])
 
     def to_json(self):
-        return [[k[0], list(k[1]), v] for k, v in self.sorted_terms()]
+        return [[k[0], list(k[1:]), v] for k, v in self.sorted_terms()]
 
 
-def _as_qext(n, value):
-    if isinstance(value, QExtElement):
-        return value
-    if isinstance(value, GroupRingElement):
-        return QExtElement.from_group(value)
-    if isinstance(value, int):
-        return QExtElement.one(n) * value
-    raise ConfigError("cannot use %r as a coefficient" % (value,))
-
-
-class NovikovSeries:
-    """Power series in n variables over QExtElement coefficients.
+class NovikovSeries(Poly):
+    """Power series in n variables over Z[q^{+-1}][P]; keys are
+    (deg, *series exps, q exponent, *weight exps).
 
     trunc is the total-degree truncation bound, or None for exact
     polynomial arithmetic (no degree is ever dropped).
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ()
+    _level = 2
 
     def __init__(self, n, trunc, terms=None):
-        self.n = n
-        self.trunc = trunc
-        clean = {}
-        for k, v in (terms or {}).items():
-            if v.is_zero():
-                continue
-            if trunc is not None and sum(k) > trunc:
-                continue
-            clean[k] = v
-        self.terms = clean
+        Poly.__init__(self, n, terms, trunc)
 
     @classmethod
     def zero(cls, n, trunc=None):
@@ -323,152 +330,47 @@ class NovikovSeries:
 
     @classmethod
     def one(cls, n, trunc=None):
-        return cls(n, trunc, {(0,) * n: QExtElement.one(n)})
+        return cls.monomial(n, (0,) * n, trunc=trunc)
 
     @classmethod
     def constant(cls, n, value, trunc=None):
-        return cls(n, trunc, {(0,) * n: _as_qext(n, value)})
+        return cls.monomial(n, (0,) * n, value, trunc)
 
     @classmethod
     def variable(cls, n, j, trunc=None):
         """The series variable x_j, 1-based."""
         if not 1 <= j <= n:
             raise ConfigError("variable index out of range")
-        key = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return cls(n, trunc, {key: QExtElement.one(n)})
+        return cls.monomial(n, tuple(int(i == j - 1) for i in range(n)),
+                            trunc=trunc)
 
     @classmethod
     def monomial(cls, n, exps, coeff=1, trunc=None):
+        """x^exps times an int, GroupRingElement or QExtElement coeff."""
+        exps = tuple(exps)
         if any(a < 0 for a in exps):
             raise ConfigError("series exponents must be non-negative")
-        return cls(n, trunc, {tuple(exps): _as_qext(n, coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        if self.trunc != other.trunc:
-            raise ConfigError(
-                "truncation mismatch: %r vs %r" % (self.trunc, other.trunc))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement)):
-            return NovikovSeries.constant(self.n, other, self.trunc)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return NovikovSeries(self.n, self.trunc, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return NovikovSeries(
-            self.n, self.trunc, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement)):
-            c = _as_qext(self.n, other)
-            return NovikovSeries(
-                self.n, self.trunc, {k: v * c for k, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                if self.trunc is not None and sum(key) > self.trunc:
-                    continue
-                prod = va * vb
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return NovikovSeries(self.n, self.trunc, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if m < 0:
-            raise ConfigError("negative power of a series")
-        out = NovikovSeries.one(self.n, self.trunc)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement)):
-            other = self._coerce(other)
-        return (isinstance(other, NovikovSeries) and self.n == other.n
-                and self.trunc == other.trunc and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.trunc,
-                     frozenset((k, hash(v)) for k, v in self.terms.items())))
+        head = (sum(exps),) + exps
+        return cls(n, trunc, {head + k: v
+                              for k, v in _lift(coeff, 1, n).items()})
 
     def with_trunc(self, trunc):
         """Re-truncate (or lift an exact polynomial) to the given degree."""
         return NovikovSeries(self.n, trunc, self.terms)
 
     def degree_zero_part(self):
-        key = (0,) * self.n
-        return self.terms.get(key, QExtElement.zero(self.n))
-
-    def map_coefficients(self, fn):
-        out = {}
-        for k, v in self.terms.items():
-            w = fn(v)
-            if not w.is_zero():
-                out[k] = w
-        return NovikovSeries(self.n, self.trunc, out)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        start = self.n + 1
+        return QExtElement(
+            self.n, {k[start:]: v for k, v in self.terms.items() if not k[0]})
 
     def render(self, var="Q"):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                "%s%d" % (var, i + 1) if e == 1 else "%s%d^%d" % (var, i + 1, e)
-                for i, e in enumerate(exps) if e)
-            ctext = coeff.render()
-            if not mono:
-                parts.append("(%s)" % ctext)
-            elif ctext == "1":
-                parts.append(mono)
-            else:
-                parts.append("(%s)*%s" % (ctext, mono))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "NovikovSeries(%r)" % self.render()
-
-    def to_json(self):
-        return [[list(k), v.to_json()] for k, v in self.sorted_terms()]
+        n = self.n
+        groups = {}
+        for k, v in sorted(self.terms.items(), key=lambda kv: kv[0][1:]):
+            groups.setdefault(k[1:n + 1], []).append((k[n + 1], k[n + 2:], v))
+        return _render_products(
+            (_monomial_text(var, exps), _render_terms(items))
+            for exps, items in groups.items())
 
 
 class NovikovFraction:
@@ -503,12 +405,9 @@ class NovikovFraction:
         return self.num.is_zero()
 
     def _coerce(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement)):
-            return NovikovFraction.from_series(
-                NovikovSeries.constant(self.n, other))
-        if isinstance(other, NovikovSeries):
-            return NovikovFraction.from_series(other)
-        return other
+        if isinstance(other, (int, Poly)):
+            return NovikovFraction(self.n, NovikovSeries.one(self.n) * other)
+        return other if isinstance(other, NovikovFraction) else None
 
     def _den_poly(self, counts):
         poly = NovikovSeries.one(self.n)
@@ -520,6 +419,8 @@ class NovikovFraction:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if self.n != other.n:
             raise ConfigError("rank mismatch")
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
@@ -531,15 +432,17 @@ class NovikovFraction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __neg__(self):
         return NovikovFraction(self.n, -self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement)):
+        if isinstance(other, (int, Poly)):
             return NovikovFraction(self.n, self.num * other, self.den)
-        other = self._coerce(other)
+        if not isinstance(other, NovikovFraction):
+            return NotImplemented
         if self.n != other.n:
             raise ConfigError("rank mismatch")
         return NovikovFraction(
@@ -551,27 +454,25 @@ class NovikovFraction:
     def __pow__(self, m):
         if m < 0:
             raise ConfigError("negative power of a fraction")
-        out = NovikovFraction.one(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        return NovikovFraction(self.n, self.num ** m,
+                               tuple(d * m for d in self.den))
 
     def __eq__(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement,
-                              NovikovSeries)):
-            other = self._coerce(other)
-        if not isinstance(other, NovikovFraction) or self.n != other.n:
-            return NotImplemented if not isinstance(other, NovikovFraction) else False
+        # A truncated series is a value of the other mode, never equal to
+        # an exact fraction (as series of different truncs are unequal).
+        if isinstance(other, Poly) and (other.n != self.n
+                                        or other.trunc is not None):
+            return False
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.n != other.n:
+            return False
         lhs = self.num * self._den_poly(other.den)
         rhs = other.num * self._den_poly(self.den)
         return lhs == rhs
 
-    def __hash__(self):
-        raise TypeError("NovikovFraction is not hashable")
+    __hash__ = None
 
     def truncate(self, trunc):
         """Expand into a truncated NovikovSeries."""
@@ -592,9 +493,12 @@ class NovikovFraction:
         return "NovikovFraction(%r)" % self.render()
 
 
-class ZLaurentElement:
-    """Laurent polynomial in z_1..z_n; coefficients are NovikovSeries or
-    NovikovFraction values (uniform within one element)."""
+class KeyedSum:
+    """Finite sum over hashable basis keys with ring coefficients.
+
+    Subclasses choose the keys, print them, and add their own products;
+    the coefficients of one sum are Poly or NovikovFraction values.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -606,6 +510,53 @@ class ZLaurentElement:
     def zero(cls, n):
         return cls(n)
 
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise ConfigError("rank mismatch")
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k)
+            out[k] = v if s is None else s + v
+        return type(self)(self.n, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        """Multiply every coefficient by a ring element c."""
+        return type(self)(self.n, {k: v * c for k, v in self.terms.items()})
+
+    def map_coefficients(self, fn):
+        return type(self)(self.n, {k: fn(v) for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        # A fraction coefficient can equal zero only if its numerator is
+        # zero, which the constructor already dropped; so equal sums have
+        # equal key sets and dict equality decides.
+        return (type(other) is type(self) and self.n == other.n
+                and self.terms == other.terms)
+
+    __hash__ = None
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.render())
+
+
+class ZLaurentElement(KeyedSum):
+    """Laurent polynomial in z_1..z_n; coefficients are NovikovSeries or
+    NovikovFraction values (uniform within one element)."""
+
+    __slots__ = ()
+
     @classmethod
     def monomial(cls, n, exps, coeff):
         return cls(n, {tuple(exps): coeff})
@@ -614,113 +565,35 @@ class ZLaurentElement:
     def constant(cls, n, coeff):
         return cls(n, {(0,) * n: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
+    def __mul__(self, other):
+        if not isinstance(other, ZLaurentElement):
+            return self.scale(other)
         if self.n != other.n:
             raise ConfigError("rank mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ZLaurentElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ZLaurentElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, GroupRingElement, QExtElement,
-                              NovikovSeries, NovikovFraction)):
-            return ZLaurentElement(
-                self.n, {k: v * other for k, v in self.terms.items()})
-        self._check(other)
         out = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
+                key = tuple(map(add, ka, kb))
                 prod = va * vb
                 s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                out[key] = prod if s is None else s + prod
         return ZLaurentElement(self.n, out)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, ZLaurentElement) or self.n != other.n:
-            return False
-        if set(self.terms) != set(other.terms):
-            # A fraction coefficient can still equal zero only if its
-            # numerator is zero, which the constructor already dropped.
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def map_coefficients(self, fn):
-        out = {}
-        for k, v in self.terms.items():
-            w = fn(v)
-            if not w.is_zero():
-                out[k] = w
-        return ZLaurentElement(self.n, out)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                "z%d" % (i + 1) if e == 1 else "z%d^%d" % (i + 1, e)
-                for i, e in enumerate(exps) if e)
-            ctext = coeff.render()
-            if not mono:
-                parts.append("(%s)" % ctext)
-            elif ctext == "1":
-                parts.append(mono)
-            else:
-                parts.append("(%s)*%s" % (ctext, mono))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "ZLaurentElement(%r)" % self.render()
-
-
-def ring_arith(a, b, op):
-    """Dispatch helper used by the CLI; op is add, sub or mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ConfigError("unknown operation %r" % op)
+        return _render_products((_monomial_text("z", exps), coeff.render())
+                                for exps, coeff in self.sorted_terms())
 
 
 def geometric_inverse(n, j, trunc):
     """The truncated inverse of (1 - x_j): sum of x_j^k for k <= trunc."""
     if not 1 <= j <= n:
         raise ConfigError("variable index out of range")
-    one = QExtElement.one(n)
+    tail = (0,) * (n + 1)
     terms = {}
     for k in range(trunc + 1):
-        key = tuple(k if i == j - 1 else 0 for i in range(n))
-        terms[key] = one
+        terms[(k,) + tuple(k if i == j - 1 else 0 for i in range(n)) + tail] = 1
     return NovikovSeries(n, trunc, terms)
 
 
@@ -739,23 +612,22 @@ def exact_div(a, d):
         return GroupRingElement.zero(n)
 
     items = d.sorted_terms()
-    if len(items) == 1:
-        (nu, c), = items
-        out = {}
-        for exps, v in a.terms.items():
-            if v % c:
-                raise DivisibilityError("coefficient %d not divisible by %d" % (v, c))
-            out[tuple(x - y for x, y in zip(exps, nu))] = v // c
-        return GroupRingElement(n, out)
-    if len(items) != 2:
+    if len(items) > 2:
         raise ConfigError("divisor must be a monomial or a binomial")
-
-    # Normalize d = c * e^nu * (e^gamma - 1) with gamma the higher term.
-    (nu, cl), (mu, ch) = items
-    if cl != -ch:
+    # d = c * e^nu, or d = c * e^nu * (e^gamma - 1) with gamma the higher
+    # term; either way first divide a by c * e^nu.
+    nu, c = items[0][0], items[-1][1]
+    if len(items) == 2 and items[0][1] != -c:
         raise ConfigError("binomial divisor must have the form c*(e^mu - e^nu)")
-    c = ch
-    gamma = tuple(x - y for x, y in zip(mu, nu))
+    b = {}
+    for exps, v in a.terms.items():
+        if v % c:
+            raise DivisibilityError("coefficient %d not divisible by %d" % (v, c))
+        b[tuple(x - y for x, y in zip(exps, nu))] = v // c
+    if len(items) == 1:
+        return GroupRingElement(n, b)
+
+    gamma = tuple(x - y for x, y in zip(items[1][0], nu))
     gdot = lambda exps: sum(g * e for g, e in zip(gamma, exps))
     step = gdot(gamma)  # |gamma|^2 > 0
 
@@ -763,11 +635,6 @@ def exact_div(a, d):
     # along the gamma-grading.  Quotient terms satisfy
     # g(term) <= max_g(dividend) - |gamma|^2, which bounds the climb and
     # turns non-divisibility into a detectable stall.
-    b = {}
-    for exps, v in a.terms.items():
-        if v % c:
-            raise DivisibilityError("coefficient %d not divisible by %d" % (v, c))
-        b[tuple(x - y for x, y in zip(exps, nu))] = v // c
     bound = max(gdot(e) for e in b) - step
     quotient = {}
     rem = b
@@ -791,17 +658,12 @@ def exact_div(a, d):
 
 
 def specialize_Q_zero(f):
-    """Set every series variable to zero in a ZLaurentElement."""
-    n = f.n
-    out = {}
-    for k, v in f.terms.items():
-        if isinstance(v, NovikovFraction):
-            c = v.num.degree_zero_part()
-            trunc = None
-        else:
-            c = v.degree_zero_part()
-            trunc = v.trunc
-        if c.is_zero():
-            continue
-        out[k] = NovikovSeries.constant(n, c, trunc)
-    return ZLaurentElement(n, out)
+    """Set every series variable to zero in a ZLaurentElement; fraction
+    coefficients become the exact series of their numerator's constant
+    part."""
+    def at_zero(c):
+        s = c.num if isinstance(c, NovikovFraction) else c
+        return NovikovSeries(
+            s.n, s.trunc, {k: v for k, v in s.terms.items() if not k[0]})
+
+    return f.map_coefficients(at_zero)

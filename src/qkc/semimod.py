@@ -17,21 +17,22 @@ import itertools
 from .rings import (
     ConfigError,
     GroupRingElement,
+    KeyedSum,
     NovikovFraction,
     NovikovSeries,
-    QExtElement,
-    geometric_inverse,
 )
-from .weylc import SignedPerm, demazure_D, order_key
+from .weylc import (
+    SignedPerm,
+    _alpha_range,
+    _eps,
+    demazure_D,
+    order_key,
+    universe,
+)
 
 
 class UnsupportedOperandError(TypeError):
     """Operation applied outside its domain of definition."""
-
-
-def universe(n):
-    """[1,1bar] in increasing order, as signed integers."""
-    return list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
 
 
 def adjacent_in(n, I, a, b):
@@ -48,87 +49,61 @@ def _one(n, trunc):
     return NovikovSeries.one(n, trunc)
 
 
-def _t_mono(n, a, b, trunc=None, coeff=1):
-    """T_a T_{a+1} ... T_b as a series monomial."""
-    exps = tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
-    return NovikovSeries.monomial(n, exps, coeff=coeff, trunc=trunc)
+def _t_mono(n, a, b, trunc=None):
+    """T_a T_{a+1} ... T_b (or Q_a ... Q_b) as a series monomial."""
+    return NovikovSeries.monomial(n, _alpha_range(n, a, b), trunc=trunc)
 
 
 def psi(n, I, j, trunc=None):
     """The operator factor psi_I(j), j a signed element of [1,1bar]."""
     I = frozenset(I)
+    out = _one(n, trunc)
     if j > 0:
         succ = j + 1 if j < n else -n
         if j not in I and succ in I:
-            return _one(n, trunc) - _t_mono(n, j, j, trunc)
-        return _one(n, trunc)
-    jj = -j
-    if jj == 1:
-        return _one(n, trunc)
-    if adjacent_in(n, I, jj - 1, -(jj - 1)):
-        return (_one(n, trunc) - _t_mono(n, jj - 1, jj - 1, trunc)
-                + _t_mono(n, jj - 1, n, trunc))
-    if -jj not in I and -(jj - 1) in I:
-        return _one(n, trunc) - _t_mono(n, jj - 1, jj - 1, trunc)
-    return _one(n, trunc)
+            out = out - _t_mono(n, j, j, trunc)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            out = (out - _t_mono(n, jj - 1, jj - 1, trunc)
+                   + _t_mono(n, jj - 1, n, trunc))
+        elif -jj not in I and -(jj - 1) in I:
+            out = out - _t_mono(n, jj - 1, jj - 1, trunc)
+    return out
 
 
 def theta_sinf(n, I, j, trunc=None):
     I = frozenset(I)
+    out = _one(n, trunc)
     if j > 0:
-        if j < n:
-            hit = j + 1 in I
-        else:
-            hit = -n in I
-        if hit:
-            return _one(n, trunc) - _t_mono(n, j, j, trunc)
-        return _one(n, trunc)
-    jj = -j
-    if jj == 1:
-        return _one(n, trunc)
-    if -(jj - 1) in I:
-        return _one(n, trunc) - _t_mono(n, jj - 1, jj - 1, trunc)
-    return _one(n, trunc)
+        if (j + 1 if j < n else -n) in I:
+            out = out - _t_mono(n, j, j, trunc)
+    elif j != -1:
+        jj = -j
+        if -(jj - 1) in I:
+            out = out - _t_mono(n, jj - 1, jj - 1, trunc)
+    return out
 
 
-def phi_sinf(n, I, j, trunc):
-    """Truncated phi factor (the 1/(1-T) pieces expanded to degree trunc)."""
+def phi(n, I, j, trunc=None):
+    """The phi factor, psi = phi * theta on the semi-infinite side and
+    zeta * eta = phi on the z-side: an exact NovikovFraction, or with
+    trunc given that fraction expanded once to degree trunc."""
     I = frozenset(I)
+    out = NovikovFraction.one(n)
     if j > 0:
         succ = j + 1 if j < n else -n
         if j in I and succ in I:
-            return geometric_inverse(n, j, trunc)
-        return _one(n, trunc)
-    jj = -j
-    if jj == 1:
-        return _one(n, trunc)
-    if adjacent_in(n, I, jj - 1, -(jj - 1)):
-        return (_one(n, trunc)
-                + _t_mono(n, jj - 1, n, trunc) * geometric_inverse(n, jj - 1, trunc))
-    if -jj in I and -(jj - 1) in I:
-        return geometric_inverse(n, jj - 1, trunc)
-    return _one(n, trunc)
-
-
-def phi_sinf_frac(n, I, j):
-    """Exact phi factor as a NovikovFraction."""
-    I = frozenset(I)
-    if j > 0:
-        succ = j + 1 if j < n else -n
-        if j in I and succ in I:
-            return NovikovFraction.geometric(n, j)
-        return NovikovFraction.one(n)
-    jj = -j
-    if jj == 1:
-        return NovikovFraction.one(n)
-    if adjacent_in(n, I, jj - 1, -(jj - 1)):
-        den = tuple(1 if t == jj - 2 else 0 for t in range(n))
-        num = (_one(n, None) - _t_mono(n, jj - 1, jj - 1)
-               + _t_mono(n, jj - 1, n))
-        return NovikovFraction(n, num, den)
-    if -jj in I and -(jj - 1) in I:
-        return NovikovFraction.geometric(n, jj - 1)
-    return NovikovFraction.one(n)
+            out = NovikovFraction.geometric(n, j)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            num = (_one(n, None) - _t_mono(n, jj - 1, jj - 1)
+                   + _t_mono(n, jj - 1, n))
+            out = NovikovFraction(n, num, _eps(n, jj - 1))
+        elif -jj in I and -(jj - 1) in I:
+            out = NovikovFraction.geometric(n, jj - 1)
+    return out if trunc is None else out.truncate(trunc)
 
 
 def psi_product(n, I, trunc=None):
@@ -139,18 +114,10 @@ def psi_product(n, I, trunc=None):
     return out
 
 
-class SemiModElement:
+class SemiModElement(KeyedSum):
     """Finite sum over basis pairs (w, lam) with series coefficients."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    __slots__ = ()
 
     @classmethod
     def basis(cls, w, lam=None, coeff=None, trunc=None):
@@ -163,33 +130,6 @@ class SemiModElement:
     @classmethod
     def one(cls, n, trunc=None):
         return cls.basis(SignedPerm.identity(n), trunc=trunc)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SemiModElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SemiModElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        """Multiply every coefficient by c (int, e^nu, q-element, or a
-        T-series/fraction)."""
-        return SemiModElement(self.n, {k: v * c for k, v in self.terms.items()})
 
     def tensor(self, mu):
         out = {}
@@ -209,13 +149,6 @@ class SemiModElement:
             return None
         return None
 
-    def __eq__(self, other):
-        if not isinstance(other, SemiModElement) or self.n != other.n:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0].window, kv[0][1]))
 
@@ -230,9 +163,6 @@ class SemiModElement:
             parts.append("(%s)*%s" % (v.render("T"), key))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return "SemiModElement(%r)" % self.render()
-
 
 def _eps_I(n, I):
     v = [0] * n
@@ -244,65 +174,55 @@ def _eps_I(n, I):
     return tuple(v)
 
 
-def ff(n, l, variant="full", k=None, trunc=None):
-    """FF_l over the chosen index universe:
-
-    "full": I subset of [1,1bar]; "upper": I subset of [1,k];
-    "barred": I subset of [1, k+1 bar] (with n+1 bar meaning n).
-    """
+def _variant_pool(n, variant, k):
+    """The index universe of the full, upper (I in [1,k]) or barred
+    (I in [1, k+1 bar], with n+1 bar meaning n) variant."""
     if variant == "full":
-        pool = universe(n)
-    elif variant == "upper":
-        if not 0 <= k <= n:
+        return universe(n)
+    if variant == "upper":
+        if k is None or not 0 <= k <= n:
             raise ConfigError("k out of range")
-        pool = list(range(1, k + 1))
-    elif variant == "barred":
-        if not 0 <= k <= n:
+        return list(range(1, k + 1))
+    if variant == "barred":
+        if k is None or not 0 <= k <= n:
             raise ConfigError("k out of range")
         if k == n:
-            pool = list(range(1, n + 1))
-        else:
-            bound = order_key(n, -(k + 1))
-            pool = [x for x in universe(n) if order_key(n, x) <= bound]
-    else:
-        raise ConfigError("unknown variant %r" % variant)
+            return list(range(1, n + 1))
+        bound = order_key(n, -(k + 1))
+        return [x for x in universe(n) if order_key(n, x) <= bound]
+    raise ConfigError("unknown variant %r" % variant)
+
+
+def ff(n, l, variant="full", k=None, trunc=None):
+    """FF_l: the psi-weighted sum of translation classes over the index
+    sets of size l in the chosen variant's universe."""
     total = SemiModElement.zero(n)
     e = SignedPerm.identity(n)
-    for I in itertools.combinations(pool, l):
+    for I in itertools.combinations(_variant_pool(n, variant, k), l):
         coeff = psi_product(n, frozenset(I), trunc)
         lam = tuple(-x for x in _eps_I(n, I))
         total = total + SemiModElement(n, {(e, lam): coeff})
     return total
 
 
-def _e1_power(n, l):
-    return GroupRingElement.monomial(n, tuple(l if t == 0 else 0 for t in range(n)))
+def _alternating_sum(n, top, variant, k, trunc):
+    """sum over l <= top of (-1)^l e^{l eps_1} FF_l in the given variant."""
+    total = SemiModElement.zero(n)
+    for l in range(0, top + 1):
+        term = ff(n, l, variant, k, trunc).scale(
+            GroupRingElement.monomial(n, _eps(n, 1, l)))
+        total = total + term if l % 2 == 0 else total - term
+    return total
 
 
 def closed_P(n, k, trunc=None):
     """The alternating upper-variant sum solving the staircase recursion."""
-    total = SemiModElement.zero(n)
-    for l in range(0, k + 1):
-        term = ff(n, l, "upper", k, trunc).scale(_e1_power(n, l))
-        total = total + term if l % 2 == 0 else total - term
-    return total
+    return _alternating_sum(n, k, "upper", k, trunc)
 
 
 def closed_Q(n, k, trunc=None):
     """The alternating barred-variant sum solving the mountain recursion."""
-    total = SemiModElement.zero(n)
-    for l in range(0, 2 * n - k + 1):
-        term = ff(n, l, "barred", k, trunc).scale(_e1_power(n, l))
-        total = total + term if l % 2 == 0 else total - term
-    return total
-
-
-def _eps(n, j, sign=1):
-    return tuple(sign if t == j - 1 else 0 for t in range(n))
-
-
-def _alpha_range(n, a, b):
-    return tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
+    return _alternating_sum(n, 2 * n - k, "barred", k, trunc)
 
 
 def rec_step_P(n, k, P, trunc=None):
@@ -352,10 +272,7 @@ def check_recursion(n, trunc=None):
         results.append(("rec-mountain-k%d" % k, ok, ""))
     # the k=1 step lands on the full alternating sum (the scalar relation
     # consumed by the relation engine)
-    full = SemiModElement.zero(n)
-    for l in range(0, 2 * n + 1):
-        term = ff(n, l, "full", trunc=trunc).scale(_e1_power(n, l))
-        full = full + term if l % 2 == 0 else full - term
+    full = _alternating_sum(n, 2 * n, "full", None, trunc)
     ok = rec_step_Q(n, 1, P, Q, trunc) == full
     results.append(("rec-mountain-k1-full-sum", ok, ""))
     return results
@@ -394,8 +311,7 @@ def jab_sets(n, A, B, k):
     A, B = frozenset(A), frozenset(B)
     if A & B:
         raise ConfigError("A and B must be disjoint")
-    target = tuple(
-        (1 if t + 1 in A else 0) - (1 if t + 1 in B else 0) for t in range(n))
+    target = _eps_I(n, A | {-b for b in B})
     out = []
     for I in itertools.combinations(universe(n), k):
         if _eps_I(n, I) == target:
@@ -434,6 +350,13 @@ def bare_psi_product(n, I, trunc=None):
     return out
 
 
+def _psi_sum(n, sets, trunc):
+    total = NovikovSeries.zero(n, trunc)
+    for I in sets:
+        total = total + psi_product(n, I, trunc)
+    return total
+
+
 def check_duality(n, trunc=None):
     """Group-by-group duality sums plus the S = T refinement."""
     results = []
@@ -461,13 +384,7 @@ def check_duality(n, trunc=None):
                         bare = bare_psi_product(n, I, trunc)
                         rhs = psi_product(n, star_map(n, I), trunc)
                         ok = ok and lhs == bare == rhs
-                total_l = _zero_series(n, trunc)
-                for I in left:
-                    total_l = total_l + psi_product(n, I, trunc)
-                total_r = _zero_series(n, trunc)
-                for J in right:
-                    total_r = total_r + psi_product(n, J, trunc)
-                ok = ok and total_l == total_r
+                ok = ok and _psi_sum(n, left, trunc) == _psi_sum(n, right, trunc)
                 results.append((
                     "duality-A%s-B%s-k%d" % (sorted(A), sorted(B), k), ok, ""))
                 # S(J, p) = T(J, p) refinements
@@ -475,13 +392,11 @@ def check_duality(n, trunc=None):
                     for J in left:
                         if any(x in J for x in range(M + 1, n + 1)):
                             continue
-                        s = _zero_series(n, trunc)
-                        t = _zero_series(n, trunc)
-                        for ks in itertools.combinations(
-                                range(M + 1, n + 1), p):
-                            aug = J | set(ks) | {-x for x in ks}
-                            s = s + psi_product(n, aug, trunc)
-                            t = t + psi_product(n, star_map(n, aug), trunc)
+                        augs = [J | set(ks) | {-x for x in ks}
+                                for ks in itertools.combinations(
+                                    range(M + 1, n + 1), p)]
+                        s = _psi_sum(n, augs, trunc)
+                        t = _psi_sum(n, [star_map(n, a) for a in augs], trunc)
                         results.append((
                             "duality-S-eq-T-A%s-B%s-J%s-p%d"
                             % (sorted(A), sorted(B),
@@ -490,40 +405,14 @@ def check_duality(n, trunc=None):
     return results
 
 
-def _zero_series(n, trunc):
-    return NovikovSeries.zero(n, trunc)
-
-
-def demazure_qext(i, c):
-    """Apply D_i to the Z[P]-part of a q-extended coefficient."""
-    n = c.n
-    out = QExtElement.zero(n)
-    by_q = {}
-    for (qe, vec), v in c.terms.items():
-        by_q.setdefault(qe, {})[vec] = v
-    for qe, terms in sorted(by_q.items()):
-        image = demazure_D(i, GroupRingElement(n, terms))
-        out = out + QExtElement(
-            n, {(qe, vec): v for vec, v in image.terms.items()})
-    return out
-
-
 def demazure_module(i, z):
     """Apply the Demazure operator to the scalar part of every coefficient.
     Only defined when all Weyl parts are the identity (translation classes)."""
-    n = z.n
-    e = SignedPerm.identity(n)
-    out = {}
-    for (w, lam), v in z.terms.items():
+    e = SignedPerm.identity(z.n)
+    for w, _ in z.terms:
         if w != e:
             raise UnsupportedOperandError(
                 "Demazure operator needs translation classes, got %s"
                 % w.render())
-        nv = v.map_coefficients(lambda c: demazure_qext(i, c))
-        if not nv.is_zero():
-            out[(w, lam)] = nv
-    return SemiModElement(n, out)
-
-
-def mul_scalar(c, z):
-    return z.scale(c)
+    return z.map_coefficients(
+        lambda v: v.map_group_parts(lambda g: demazure_D(i, g)))

@@ -12,7 +12,7 @@ import time
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
 from .rings import ConfigError, specialize_Q_zero
-from .weylc import enumerate_group, positive_roots
+from .weylc import _alpha_range, enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
 
@@ -91,10 +91,6 @@ def _suite_qbg(n, trunc):
 
     tasks = [lambda w=w: check(w) for w in enumerate_group(n)]
     return _run_tasks(tasks)
-
-
-def _alpha_range(n, a, b):
-    return tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
 
 
 def _check_mountain_theta(n, k):
@@ -226,9 +222,9 @@ def _check_phi_theta_psi(n, trunc):
         for I in itertools.combinations(pool, size):
             for j in pool:
                 psi_val = semimod.psi(n, I, j, degree)
-                prod = (semimod.phi_sinf(n, I, j, degree)
+                prod = (semimod.phi(n, I, j, degree)
                         * semimod.theta_sinf(n, I, j, degree))
-                exact = (semimod.phi_sinf_frac(n, I, j)
+                exact = (semimod.phi(n, I, j)
                          * semimod.theta_sinf(n, I, j)
                          == semimod.psi(n, I, j))
                 if prod != psi_val or not exact:
@@ -244,25 +240,23 @@ def _suite_qkpres(n, trunc):
         return [("zeta-eta-equals-phi", not failing,
                  failing[0] if failing else "")]
 
+    def matches(l, variant="full", k=None):
+        return (qkpres.to_semimod(qkpres.f_poly(n, l, variant, k, trunc))
+                == semimod.ff(n, l, variant, k, trunc))
+
     def dictionary():
         for l in range(2 * n + 1):
-            if qkpres.to_semimod(qkpres.f_poly(n, l, trunc=trunc)) \
-                    != semimod.ff(n, l, trunc=trunc):
+            if not matches(l):
                 return [("dictionary-f-to-module", False, "l=%d" % l)]
         return [("dictionary-f-to-module", True, "")]
 
     def dictionary_variants():
         for k in range(1, n + 1):
-            for l in range(k + 1):
-                if qkpres.to_semimod(qkpres.f_poly(n, l, "upper", k, trunc)) \
-                        != semimod.ff(n, l, "upper", k, trunc):
-                    return [("dictionary-variants", False,
-                             "upper k=%d l=%d" % (k, l))]
-            for l in range(2 * n - k + 1):
-                if qkpres.to_semimod(qkpres.f_poly(n, l, "barred", k, trunc)) \
-                        != semimod.ff(n, l, "barred", k, trunc):
-                    return [("dictionary-variants", False,
-                             "barred k=%d l=%d" % (k, l))]
+            for variant, top in (("upper", k), ("barred", 2 * n - k)):
+                for l in range(top + 1):
+                    if not matches(l, variant, k):
+                        return [("dictionary-variants", False,
+                                 "%s k=%d l=%d" % (variant, k, l))]
         return [("dictionary-variants", True, "")]
 
     def specialization():

@@ -21,14 +21,15 @@ def order_key(n, x):
     return x if x > 0 else 2 * n + 1 + x
 
 
+def universe(n):
+    """[1,1bar] in increasing order, as signed integers."""
+    return list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
+
+
 def interval(n, a, b):
     """All signed elements x with a <= x <= b in the [1,1bar] order."""
     ka, kb = order_key(n, a), order_key(n, b)
-    out = []
-    for x in list(range(1, n + 1)) + [-j for j in range(n, 0, -1)]:
-        if ka <= order_key(n, x) <= kb:
-            out.append(x)
-    return out
+    return [x for x in universe(n) if ka <= order_key(n, x) <= kb]
 
 
 class SignedPerm:
@@ -40,7 +41,7 @@ class SignedPerm:
         self.window = tuple(window)
         self.n = len(self.window)
         if sorted(abs(x) for x in self.window) != list(range(1, self.n + 1)):
-            raise ConfigError("not a signed permutation: %r" % (window,))
+            raise ConfigError("not a signed permutation: %r" % (self.window,))
 
     @classmethod
     def identity(cls, n):
@@ -170,30 +171,21 @@ class RootC:
         self.n, self.kind, self.i, self.j = n, kind, i, j
 
     def weight(self):
-        v = [0] * self.n
+        n, i, j = self.n, self.i, self.j
         if self.kind == "long":
-            v[self.i - 1] = 2
-        else:
-            v[self.i - 1] = 1
-            v[self.j - 1] = -1 if self.kind == "minus" else 1
-        return tuple(v)
+            return _eps(n, i, 2)
+        sign = -1 if self.kind == "minus" else 1
+        return tuple(a + sign * b for a, b in zip(_eps(n, i), _eps(n, j)))
 
     def coroot(self):
         """Coordinates in the alpha^vee basis."""
         n, i, j = self.n, self.i, self.j
-        cv = [0] * n
         if self.kind == "minus":
-            for t in range(i, j):
-                cv[t - 1] = 1
-        elif self.kind == "long":
-            for t in range(i, n + 1):
-                cv[t - 1] = 1
-        else:
-            for t in range(i, j):
-                cv[t - 1] = 1
-            for t in range(j, n + 1):
-                cv[t - 1] += 2
-        return tuple(cv)
+            return _alpha_range(n, i, j - 1)
+        if self.kind == "long":
+            return _alpha_range(n, i, n)
+        return tuple(a + 2 * b for a, b in zip(_alpha_range(n, i, j - 1),
+                                              _alpha_range(n, j, n)))
 
     def reflection(self):
         n, i, j = self.n, self.i, self.j
@@ -254,15 +246,23 @@ def positive_roots(n):
     return tuple(out)
 
 
+def _eps(n, j, c=1):
+    """c * eps_j in the eps-basis; a barred index j < 0 gives -c * eps_|j|."""
+    if j < 0:
+        j, c = -j, -c
+    return tuple(c if t == j - 1 else 0 for t in range(n))
+
+
+def _alpha_range(n, a, b):
+    """alpha_a^vee + ... + alpha_b^vee in the alpha^vee basis."""
+    return tuple(1 if a <= t <= b else 0 for t in range(1, n + 1))
+
+
 def simple_root_weight(n, i):
     """alpha_i in the eps-basis."""
-    v = [0] * n
     if i < n:
-        v[i - 1] = 1
-        v[i] = -1
-    else:
-        v[n - 1] = 2
-    return tuple(v)
+        return tuple(a - b for a, b in zip(_eps(n, i), _eps(n, i + 1)))
+    return _eps(n, n, 2)
 
 
 def pairing(lam, cv):
@@ -309,24 +309,18 @@ def demazure_D(i, f):
     if not 1 <= i <= n:
         raise ConfigError("Demazure index out of range")
     alpha = simple_root_weight(n, i)
-    cv = tuple(1 if t == i - 1 else 0 for t in range(n))
-    out = {}
-
-    def put(key, c):
-        nc = out.get(key, 0) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
+    cv = _eps(n, i)
+    out = {}  # zero sums are dropped by the constructor
     for nu, c in f.terms.items():
         m = pairing(nu, cv)
         if m <= 0:
             for t in range(-m + 1):
-                put(tuple(x + t * a for x, a in zip(nu, alpha)), c)
+                key = tuple(x + t * a for x, a in zip(nu, alpha))
+                out[key] = out.get(key, 0) + c
         elif m >= 2:
             for t in range(1, m):
-                put(tuple(x - t * a for x, a in zip(nu, alpha)), -c)
+                key = tuple(x - t * a for x, a in zip(nu, alpha))
+                out[key] = out.get(key, 0) - c
     return GroupRingElement(n, out)
 
 
@@ -337,7 +331,7 @@ def demazure_D_fraction(i, f):
 
     n = f.n
     alpha = simple_root_weight(n, i)
-    cv = tuple(1 if t == i - 1 else 0 for t in range(n))
+    cv = _eps(n, i)
     ealpha = GroupRingElement.monomial(n, alpha)
     num = GroupRingElement.zero(n)
     for nu, c in f.terms.items():

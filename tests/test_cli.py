@@ -5,7 +5,7 @@ import threading
 import jsonschema
 import pytest
 
-from qkc import qbg, semimod, verify
+from qkc import qbg, qkpres, semimod, verify
 from qkc.cli import main
 from qkc.verify import SUITES, run_suite
 
@@ -80,6 +80,55 @@ def test_phi_theta_psi_reports_first_failure(monkeypatch):
     assert cid == "phi-theta-equals-psi"
     assert not ok
     assert location == "I=() j=2"
+
+
+def _succ(n, j):
+    return j + 1 if j < n else -n
+
+
+def _qkpres_checks(mode):
+    return {cid: (ok, location)
+            for cid, ok, location, _ in run_suite("qkpres", 2, mode).checks}
+
+
+@pytest.mark.parametrize("mode", ["truncated", "exact"])
+def test_broken_phi_case_fails_both_factorizations(monkeypatch, mode):
+    original = semimod.phi
+
+    def phi(n, I, j, trunc=None):
+        if j > 0 and j in I and _succ(n, j) in I:
+            return original(n, (), j, trunc)  # 1 instead of 1/(1 - Q_j)
+        return original(n, I, j, trunc)
+
+    # verify looks phi up in semimod, the coefficient table in qkpres
+    monkeypatch.setattr(semimod, "phi", phi)
+    monkeypatch.setattr(qkpres, "phi", phi)
+    checks = _qkpres_checks(mode)
+    for cid in ("zeta-eta-equals-phi", "phi-theta-equals-psi"):
+        ok, location = checks[cid]
+        assert not ok and location, cid
+
+
+@pytest.mark.parametrize("mode", ["truncated", "exact"])
+def test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode):
+    original = qkpres.zeta
+
+    def zeta(n, I, j, trunc=None):
+        if j > 0 and j in I and _succ(n, j) not in I:
+            return original(n, (), j, trunc)  # 1 instead of 1 - Q_j
+        return original(n, I, j, trunc)
+
+    monkeypatch.setattr(qkpres, "zeta", zeta)
+    checks = _qkpres_checks(mode)
+    # F_l is built from zeta, so the dictionary checks see the fault too;
+    # the semi-infinite factorization and the Q = 0 specialization do not.
+    assert checks == {
+        "zeta-eta-equals-phi": (False, "zeta-eta-phi-I[1]"),
+        "phi-theta-equals-psi": (True, ""),
+        "dictionary-f-to-module": (False, "l=1"),
+        "dictionary-variants": (False, "upper k=1 l=1"),
+        "specialization-at-Q-zero": (True, ""),
+    }
 
 
 def test_exact_mode_ignores_trunc(capsys):

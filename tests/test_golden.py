@@ -1,0 +1,51 @@
+"""Golden outputs: the bytes every renderer and `to_json` of the rings,
+the module sums and the inverse Chevalley sums print through the CLI.
+
+The digests were recorded before the term-map classes shared one kernel;
+any change to a renderer's text, term order or JSON layout shows here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qkc.cli import main
+
+GOLDEN = [
+    # exact mode: fractions print unreduced, e.g.
+    # ((1) + (-2)*Q1 + Q1^2)*z1*z2^-1
+    (["show", "f", "--n", "2", "--l", "2"],
+     "182ce75bc47d9ca0ddc15221f756e92e9848585aaa26bf8ba7921d46774e70c5"),
+    (["show", "f", "--n", "3", "--l", "2", "--trunc", "8", "--json"],
+     "5940742148cdf68a6446f1e6c9541b47334baa0860c6a768b9fe505f09382f10"),
+    (["show", "ff", "--n", "2", "--l", "2", "--trunc", "4"],
+     "58a1a9ef03f94f3900d80f6b0a529ddc06c64f585b928455f852eb5423cfb93f"),
+    (["show", "ff", "--n", "3", "--l", "2", "--variant", "1bar"],
+     "7b2402e58cdf449442bb15159c5019e2ea8e394b435588cffd58f2c2fee16f49"),
+    (["show", "ideal", "--n", "2"],
+     "90a77f3de2e152e1d2606978b3cb7f3b0937797099074f179808c29d7b03124b"),
+    (["show", "schubert", "--n", "3", "--k", "2", "--barred", "--json"],
+     "096fc88944991cd002a0b953bd860842ffc7e1b883c11621d3b745306b727c75"),
+    (["ic", "--w", "[-2,1]", "--m", "1"],
+     "2baced42d0e383f87baf166defaa19120291ee9be5cdad59984aad43f59f5980"),
+    (["ic", "--w", "[-2,1]", "--m", "1", "--json"],
+     "c2feacf6c9599c8ae09fef853a4a3ab421823ec151d35dc12a34bc7deb921c33"),
+    (["solve-system", "--n", "3", "--json"],
+     "f09a76ad296e9da7350c482875cd4f9bcbc249e0220dfb9803b8854f92841206"),
+    (["verify", "--n", "3", "--suite", "all", "--json"],
+     "97201fe5650cdab939ea573301d3104087eca278b6edce3186bbe54928b97b62"),
+    (["verify", "--n", "3", "--suite", "all", "--json", "--mode", "exact"],
+     "ef94bfc094651bddc0d4aa207aad6c7837f9a8a7c5bd2a2424148ce94f626518"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cli_output_matches_golden_digest(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -4,13 +4,12 @@ from math import comb
 import pytest
 
 from qkc.qkpres import (
-    CoeffFunctionTable,
     check_coefficient_factorization,
     elementary_z,
     eta,
     f_poly,
+    factorization_holds,
     ideal_generators,
-    phi_Q,
     schubert_poly,
     to_semimod,
     zeta,
@@ -24,7 +23,7 @@ from qkc.rings import (
     ZLaurentElement,
     specialize_Q_zero,
 )
-from qkc.semimod import SemiModElement, ff, universe
+from qkc.semimod import SemiModElement, ff, phi, universe
 
 
 def q_mono(n, a, b):
@@ -59,7 +58,7 @@ def test_empty_set_gives_trivial_factors():
     for j in universe(n):
         assert zeta(n, (), j) == one
         assert eta(n, (), j) == one
-        assert phi_Q(n, (), j) == one
+        assert phi(n, (), j) == one
 
 
 def test_zeta_eta_phi_pointwise():
@@ -67,15 +66,14 @@ def test_zeta_eta_phi_pointwise():
         for name, ok, _ in check_coefficient_factorization(n):
             assert ok, (n, name)
     # and in truncated mode
-    table = CoeffFunctionTable(2, {1, -1}, trunc=5)
-    assert table.product_identity_holds()
+    assert factorization_holds(2, {1, -1}, trunc=5)
 
 
 def test_q_zero_specialization_of_factors():
     n = 2
     for I in ({1}, {1, 2}, {2, -2}, {-1, -2}):
         for j in universe(n):
-            for fn in (zeta, phi_Q):
+            for fn in (zeta, phi):
                 value = fn(n, I, j, trunc=4)
                 assert value.degree_zero_part() == value.degree_zero_part() * 1
                 assert not value.degree_zero_part().is_zero()
@@ -105,7 +103,7 @@ def test_specialized_term_count():
             spec = specialize_Q_zero(f_poly(n, l))
             total = 0
             for _, c in spec.sorted_terms():
-                (qe, exps), v = c.degree_zero_part().sorted_terms()[0]
+                _, v = c.degree_zero_part().sorted_terms()[0]
                 total += v
             assert total == comb(2 * n, l), (n, l)
 
@@ -175,3 +173,27 @@ def test_image_symmetry():
         for l in range(n + 1):
             lhs = to_semimod(f_poly(n, n + l))
             assert lhs == to_semimod(f_poly(n, n - l))
+
+
+def _variants(n):
+    yield "full", None, range(2 * n + 1)
+    for k in range(n + 1):
+        yield "upper", k, range(k + 1)
+        yield "barred", k, range(2 * n - k + 1)
+
+
+def test_exact_mode_expands_to_truncated_mode():
+    for n in (1, 2, 3):
+        d = 2 * n + 2
+        for variant, k, ls in _variants(n):
+            for l in ls:
+                exact = f_poly(n, l, variant, k)
+                truncated = f_poly(n, l, variant, k, trunc=d)
+                assert exact.map_coefficients(
+                    lambda c: c.truncate(d)) == truncated, (n, variant, k, l)
+                assert to_semimod(exact).map_coefficients(
+                    lambda c: c.truncate(d)) == to_semimod(truncated), \
+                    (n, variant, k, l)
+                assert ff(n, l, variant, k).map_coefficients(
+                    lambda c: c.with_trunc(d)) == ff(n, l, variant, k, d), \
+                    (n, variant, k, l)

@@ -17,8 +17,7 @@ from qkc.semimod import (
     duality_hypothesis,
     ff,
     jab_sets,
-    phi_sinf,
-    phi_sinf_frac,
+    phi,
     psi,
     psi_product,
     star_map,
@@ -64,8 +63,8 @@ def test_phi_theta_factorization_of_psi():
         for j in universe(n):
             p = psi(n, I, j)
             th = theta_sinf(n, I, j)
-            assert phi_sinf_frac(n, I, j) * th == NovikovFraction.from_series(p)
-            lhs = phi_sinf(n, I, j, trunc=5) * th.with_trunc(5)
+            assert phi(n, I, j) * th == NovikovFraction.from_series(p)
+            lhs = phi(n, I, j, trunc=5) * th.with_trunc(5)
             assert lhs == p.with_trunc(5)
 
 

@@ -198,3 +198,5 @@ def test_window_parse_render():
     w = SignedPerm.parse("[2,3,-1]")
     assert w.window == (2, 3, -1)
     assert w.render() == "[2,3,-1]"
+    with pytest.raises(ConfigError, match=r"not a signed permutation: \(1, 1\)"):
+        SignedPerm.parse("[1,1]")
