@@ -42,16 +42,20 @@ def _window(text):
 
 
 def _read_config(path):
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ConfigError("cannot read config file: %s" % exc)
     values = {}
-    with open(path) as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("bad config line: %r" % raw.strip())
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("bad config line: %r" % raw.strip())
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -126,14 +130,23 @@ def build_parser():
 
 def _cmd_verify(args, parser):
     config = _read_config(args.config) if args.config else {}
-    n = args.n if args.n is not None else int(config.get("n", 2))
+
+    def setting(key, default):
+        """The flag, else the config value parsed like the flag, else default."""
+        flag = getattr(args, key)
+        if flag is not None:
+            return flag
+        if key not in config:
+            return default
+        try:
+            return _positive_int(config[key])
+        except argparse.ArgumentTypeError as exc:
+            parser.error("config %s: %s" % (key, exc))
+
+    n = setting("n", 2)
+    trunc = setting("trunc", None)
     mode = args.mode or config.get("mode", "truncated")
     suite = args.suite or config.get("suites", "all")
-    trunc = args.trunc
-    if trunc is None and "trunc" in config:
-        trunc = int(config["trunc"])
-    if n < 1:
-        parser.error("--n must be at least 1")
     if mode not in ("truncated", "exact"):
         parser.error("unknown mode %r" % mode)
     suites = "all" if suite == "all" else [s.strip() for s in suite.split(",")]

@@ -10,7 +10,7 @@ symmetric polynomials E_0..E_n.
 
 from __future__ import annotations
 
-from .rings import ConfigError, DivisibilityError, GroupRingElement, exact_div
+from .rings import ConfigError, GroupRingElement, exact_div
 from .weylc import _eps, demazure_D
 
 
@@ -189,16 +189,21 @@ def chain_relation(n, k):
     return rel
 
 
-def h_poly(variables, m):
-    """Complete symmetric polynomial h_m; h_0 = 1 and h_{m<0} = 0."""
+def _h_row(variables, m):
+    """[h_0, ..., h_m] from one recurrence row."""
     n = variables[0].n
-    if m < 0:
-        return GroupRingElement.zero(n)
     row = [GroupRingElement.one(n)] + [GroupRingElement.zero(n)] * m
     for x in variables:
         for deg in range(1, m + 1):
             row[deg] = row[deg] + x * row[deg - 1]
-    return row[m]
+    return row
+
+
+def h_poly(variables, m):
+    """Complete symmetric polynomial h_m; h_0 = 1 and h_{m<0} = 0."""
+    if m < 0:
+        return GroupRingElement.zero(variables[0].n)
+    return _h_row(variables, m)[m]
 
 
 def e_poly(variables, m, n=None):
@@ -374,16 +379,22 @@ def solve_system(n, audit=False):
     return tuple(values)
 
 
-def _t_mul(a, b, bound):
-    """Multiply two t-polynomials (lists of Z[P] coefficients), truncated."""
-    n = (a[0] if a else b[0]).n
-    out = [GroupRingElement.zero(n)
-           for _ in range(min(len(a) + len(b) - 1, bound + 1))]
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            if i + j <= bound:
-                out[i + j] = out[i + j] + ca * cb
+def _t_linear(a, x, bound):
+    """a(t) * (1 + x t), truncated at t-degree bound, for a one-term x:
+    out[i] = a[i] + x * a[i-1], so each ring product has a one-term
+    operand."""
+    size = min(len(a) + 1, bound + 1)
+    out = list(a[:size]) + [GroupRingElement.zero(x.n)] * (size - len(a))
+    for i in range(1, size):
+        out[i] = out[i] + x * a[i - 1]
     return out
+
+
+def _t_factors(a, xs, bound):
+    """a(t) times the product of the linear factors (1 + x t), x in xs."""
+    for x in xs:
+        a = _t_linear(a, x, bound)
+    return a
 
 
 def _t_trim(a):
@@ -392,9 +403,41 @@ def _t_trim(a):
     return list(a)
 
 
+def _tail_vars(n, k):
+    """The hyperbolic variables outside row k: e^{+-eps_{k+2..n}}."""
+    tail = [_mono(n, _eps(n, j)) for j in range(k + 2, n + 1)]
+    return tail + [_mono(n, _eps(n, j, -1)) for j in range(n, k + 1, -1)]
+
+
+def _gf_row_products(n, k, d_t):
+    """The t-polynomials the row-k checks compare, truncated at d_t, with
+    H(t) = sum h_l t^l over the 2(k+1) variables x of row k:
+    H(t) prod (1 - x t), (1 - t^2) H(t) prod (1 - x t),
+    (1 - t^2) H(-t) prod over all 2n variables of (1 + x t), and
+    (1 - t^2) prod over the tail variables of (1 + x t)."""
+    one = GroupRingElement.one(n)
+    hv = _hyperbolic_vars(n, k + 1)
+    tail = _tail_vars(n, k)
+    minus = [-x for x in hv]
+    hs = _h_row(hv, d_t)
+    hd = [hs[l] - hs[l - 2] if l >= 2 else hs[l] for l in range(d_t + 1)]
+    alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
+    # row k's factors first, so alt shrinks to 1 - t^2 before it grows
+    return (_t_factors(hs, minus, d_t),
+            _t_factors(hd, minus, d_t),
+            _t_factors(alt, hv + tail, d_t),
+            _t_factors([one], tail + [-one, one], d_t))
+
+
 def check_generating_identities(n, d_t=None):
     """The generating-function identities behind the triangular solve,
-    as t-polynomials truncated at degree d_t (default 2n + 2)."""
+    as t-polynomials truncated at degree d_t (default 2n + 2).
+
+    Every product is taken one linear factor (1 +- x t) at a time.
+    gf-2 compares the product of the 2n factors (1 + x t) with the
+    elementary_E list, so it alone covers the E_m; gf-3 multiplies by
+    the same 2n factors and checks the product against the tail factors
+    times (1 - t^2) and against e_poly over the tail variables."""
     if d_t is None:
         d_t = 2 * n + 2
     if d_t < 2 * n:
@@ -403,37 +446,21 @@ def check_generating_identities(n, d_t=None):
     one = GroupRingElement.one(n)
     zero = GroupRingElement.zero(n)
     for k in range(n):
-        hv = _hyperbolic_vars(n, k + 1)
-        denom = [one]
-        for x in hv:
-            denom = _t_mul(denom, [one, -x], d_t)
-        hs = [complete_h(n, l, k + 1) for l in range(d_t + 1)]
-        ok = _t_trim(_t_mul(hs, denom, d_t)) == [one]
+        hs_d, hd_d, lhs, rhs = _gf_row_products(n, k, d_t)
+        ok = _t_trim(hs_d) == [one]
         results.append(("gf-sum-complete-k%d" % k, ok, ""))
-        hd = [hs[l] - (hs[l - 2] if l >= 2 else zero)
-              for l in range(d_t + 1)]
-        ok = _t_trim(_t_mul(hd, denom, d_t)) == _t_trim([one, zero, -one])
+        ok = _t_trim(hd_d) == _t_trim([one, zero, -one])
         results.append(("gf-1-k%d" % k, ok, ""))
-        # alternating product against the elementary generating polynomial
-        alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
-        es = [elementary_E(n, m) for m in range(2 * n + 1)]
-        lhs = _t_trim(_t_mul(alt, es, d_t))
-        tail = [_mono(n, _eps(n, j)) for j in range(k + 2, n + 1)]
-        tail += [_mono(n, _eps(n, j, -1)) for j in range(n, k + 1, -1)]
-        rhs = [one]
-        for x in tail:
-            rhs = _t_mul(rhs, [one, x], d_t)
-        rhs = _t_trim(_t_mul(rhs, [one, zero, -one], d_t))
+        lhs, rhs = _t_trim(lhs), _t_trim(rhs)
         ok = lhs == rhs
         ok = ok and len(rhs) - 1 <= 2 * (n - k - 1) + 2
+        tail = _tail_vars(n, k)
         expect = [e_poly(tail, m, n) - e_poly(tail, m - 2, n)
                   for m in range(2 * (n - k - 1) + 3)]
         ok = ok and rhs == _t_trim(expect)
         ok = ok and (len(lhs) <= n - k or lhs[n - k].is_zero())
         results.append(("gf-3-k%d" % k, ok, ""))
-    prod = [one]
-    for x in _hyperbolic_vars(n, n):
-        prod = _t_mul(prod, [one, x], d_t)
+    prod = _t_factors([one], _hyperbolic_vars(n, n), d_t)
     ok = _t_trim(prod) == _t_trim([elementary_E(n, m)
                                    for m in range(2 * n + 1)])
     results.append(("gf-2", ok, ""))

@@ -5,9 +5,11 @@ import threading
 import jsonschema
 import pytest
 
-from qkc import qbg, qkpres, semimod, verify
+from qkc import qbg, qkpres, relations, semimod, verify
 from qkc.cli import main
+from qkc.rings import GroupRingElement
 from qkc.verify import SUITES, run_suite
+from qkc.weylc import _eps, pairing
 
 
 def run(capsys, *argv):
@@ -131,6 +133,49 @@ def test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode):
     }
 
 
+def _failing_relations_checks(capsys):
+    code, out = run(capsys, "verify", "--n", "3", "--suite", "relations",
+                    "--json")
+    [report] = json.loads(out)["reports"]
+    return code, {rec["id"]: rec.get("location", "")
+                  for rec in report["checks"] if rec["status"] == "fail"}
+
+
+def test_broken_elementary_E_fails_gf2_and_the_solution(monkeypatch, capsys):
+    original = relations.elementary_E
+
+    def elementary_E(n, l):
+        value = original(n, l)
+        return value + GroupRingElement.monomial(n, _eps(n, 1)) if l == 2 \
+            else value
+
+    monkeypatch.setattr(relations, "elementary_E", elementary_E)
+    code, failing = _failing_relations_checks(capsys)
+    assert code == 1
+    # gf-3 multiplies by the factors (1 + x t), so gf-2 is what sees E_2
+    assert {"gf-2", "solution-is-elementary"} <= set(failing)
+    assert not any(cid.startswith("gf-3") for cid in failing)
+
+
+def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
+    original = relations.demazure_D
+
+    def demazure_D(i, f):
+        out = GroupRingElement.zero(f.n)
+        for nu, c in f.terms.items():
+            value = original(i, GroupRingElement.monomial(f.n, nu, c))
+            # the m >= 2 case without its minus sign
+            out = out + (-value if pairing(nu, _eps(f.n, i)) >= 2 else value)
+        return out
+
+    monkeypatch.setattr(relations, "demazure_D", demazure_D)
+    code, failing = _failing_relations_checks(capsys)
+    assert code == 1
+    assert set(failing) == {"secondary-derivation", "chain-vs-nested-sum-k2",
+                            "system-rows-audit"}
+    assert failing["secondary-derivation"].startswith("not divisible")
+
+
 def test_exact_mode_ignores_trunc(capsys):
     code, out = run(capsys, "verify", "--n", "1", "--mode", "exact",
                     "--suite", "semimod", "--json")
@@ -179,6 +224,20 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     code, out = run(capsys, "verify", "--config", str(cfg),
                     "--suite", "qbg", "--json")
     assert json.loads(out)["reports"][0]["suite"] == "qbg"
+
+
+@pytest.mark.parametrize("text", [None, "trunc = abc", "n = x", "trunc = -3"])
+def test_bad_config_is_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "qkc.cfg"
+    if text is not None:
+        cfg.write_text("suites = qbg\n%s\n" % text)
+    try:
+        code = main(["verify", "--config", str(cfg)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_every_suite_runs_at_rank_two():

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qkc.relations as relations
 from qkc.relations import (
     RelationVector,
     SolverError,
@@ -21,7 +23,7 @@ from qkc.relations import (
     system_arbitrary,
     system_row,
 )
-from qkc.rings import ConfigError, GroupRingElement
+from qkc.rings import ConfigError, GroupRingElement, Poly
 
 
 def mono(n, exps, coeff=1):
@@ -150,7 +152,7 @@ def test_solver_rejects_non_unit_lead(monkeypatch):
 
 
 def test_generating_identities():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for name, ok, _ in check_generating_identities(n):
             assert ok, (n, name)
     with pytest.raises(ConfigError):
@@ -163,3 +165,87 @@ def test_row_matches_complete_h():
     for l in range(n - k + 1):
         expect = complete_h(n, n - l - k, k + 1) - complete_h(n, n - l - k - 2, k + 1)
         assert row.coeffs[l] == (expect if l % 2 == 0 else -expect)
+
+
+def _t_mul(a, b, bound):
+    """Dense product of two t-polynomials (lists of Z[P] coefficients),
+    truncated at degree bound: the oracle for the linear-factor products."""
+    n = (a[0] if a else b[0]).n
+    out = [GroupRingElement.zero(n)
+           for _ in range(min(len(a) + len(b) - 1, bound + 1))]
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if i + j <= bound:
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+grp2 = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       st.integers(-3, 3), max_size=4).map(
+    lambda terms: GroupRingElement(2, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(grp2, max_size=8), st.integers(0, 6),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.sampled_from([1, -1]))
+def test_linear_factor_matches_dense_product(a, bound, exps, sign):
+    x = mono(2, exps, sign)
+    assert relations._t_linear(a, x, bound) == \
+        _t_mul(a, [GroupRingElement.one(2), x], bound)
+
+
+def _dense_gf_products(n, k, d_t):
+    """The four t-polynomials of row k as dense products of expanded
+    t-polynomials, in the order relations._gf_row_products returns them."""
+    one, zero = GroupRingElement.one(n), GroupRingElement.zero(n)
+    denom = [one]
+    for x in relations._hyperbolic_vars(n, k + 1):
+        denom = _t_mul(denom, [one, -x], d_t)
+    hs = [complete_h(n, l, k + 1) for l in range(d_t + 1)]
+    hd = [hs[l] - (hs[l - 2] if l >= 2 else zero) for l in range(d_t + 1)]
+    alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
+    es = [elementary_E(n, m) for m in range(2 * n + 1)]
+    tail = [mono(n, tuple(int(i == j) for i in range(n)))
+            for j in range(k + 1, n)]
+    tail += [mono(n, tuple(-int(i == j) for i in range(n)))
+             for j in range(n - 1, k, -1)]
+    rhs = [one]
+    for x in tail:
+        rhs = _t_mul(rhs, [one, x], d_t)
+    rhs = _t_mul(rhs, [one, zero, -one], d_t)
+    return (_t_mul(hs, denom, d_t), _t_mul(hd, denom, d_t),
+            _t_mul(alt, es, d_t), rhs)
+
+
+def test_gf_products_match_dense_products():
+    for n in range(1, 5):
+        d_t = 2 * n + 2
+        for k in range(n):
+            got = relations._gf_row_products(n, k, d_t)
+            assert got == _dense_gf_products(n, k, d_t), (n, k)
+        one = GroupRingElement.one(n)
+        dense = [one]
+        for x in relations._hyperbolic_vars(n, n):
+            dense = _t_mul(dense, [one, x], d_t)
+        factors = relations._t_factors([one], relations._hyperbolic_vars(n, n),
+                                       d_t)
+        assert factors == dense
+        es = [elementary_E(n, m) for m in range(2 * n + 1)]
+        assert relations._t_trim(factors) == es, n
+
+
+def test_generating_identities_make_no_dense_products(monkeypatch):
+    # every ring product is a one-term operand times anything
+    sizes = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        right = 1 if isinstance(other, int) else len(other.terms)
+        sizes.append(min(len(self.terms), right))
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    assert all(ok for _, ok, _ in check_generating_identities(4))
+    assert sizes and max(sizes) <= 1
