@@ -4,11 +4,16 @@ Laurent polynomials in z_1..z_n over Novikov coefficients, with the
 zeta/eta/phi coefficient functions, the elements F_l and their upper and
 barred variants, the ideal generators F_l - E_l, Schubert-class
 polynomials, and the translation map into the semi-infinite module.
+
+zeta and eta read the index set I only through `semimod._case`, and
+their values, like the factors `_z_factor` of the translation map, are
+built once per small-int key and shared.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .relations import elementary_E
 from .rings import (
@@ -20,53 +25,63 @@ from .rings import (
 )
 from .semimod import (
     SemiModElement,
+    _case,
     _eps_I as eps_I,
     _t_mono,
     _variant_pool,
-    adjacent_in,
     phi,
     universe,
 )
 from .weylc import SignedPerm, _eps, order_key
 
 
-def _one(n):
-    return NovikovFraction.one(n)
-
-
-def _maybe_trunc(f, trunc):
-    return f if trunc is None else f.truncate(trunc)
+def _unit(n, trunc):
+    """1 as an exact fraction, or as a series truncated at trunc."""
+    return NovikovFraction.one(n) if trunc is None else NovikovSeries.one(n, trunc)
 
 
 def zeta(n, I, j, trunc=None):
     """The coefficient function attached to the z-side elements F_l."""
-    I = frozenset(I)
-    out = _one(n)
+    return _zeta(n, j, _case(n, frozenset(I), j), trunc)
+
+
+@lru_cache(maxsize=None)
+def _zeta(n, j, case, trunc):
+    if trunc is not None:
+        return _zeta(n, j, case, None).truncate(trunc)
+    out = NovikovFraction.one(n)
     if j > 0:
-        succ = j + 1 if j < n else -n
-        if j in I and succ not in I:
+        here, succ = case
+        if here and not succ:
             out = out - _t_mono(n, j, j)
     elif j != -1:
+        adjacent, here, succ = case
         jj = -j
-        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+        if adjacent:
             num = (NovikovSeries.one(n) - _t_mono(n, jj - 1, jj - 1)
                    + _t_mono(n, jj - 1, n))
             out = NovikovFraction(n, num, _eps(n, jj - 1))
-        elif -jj in I and -(jj - 1) not in I:
+        elif here and not succ:
             out = out - _t_mono(n, jj - 1, jj - 1)
-    return _maybe_trunc(out, trunc)
+    return out
 
 
 def eta(n, I, j, trunc=None):
     """The geometric-series correction absorbed by each z-variable."""
-    I = frozenset(I)
-    out = _one(n)
-    if j > 0 and j in I:
+    return _eta(n, j, _case(n, frozenset(I), j), trunc)
+
+
+@lru_cache(maxsize=None)
+def _eta(n, j, case, trunc):
+    if trunc is not None:
+        return _eta(n, j, case, None).truncate(trunc)
+    out = NovikovFraction.one(n)
+    if j > 0 and case[0]:
         out = NovikovFraction.geometric(n, j)
-    elif j < -1 and j in I:
+    elif j < -1 and case[1]:
         # at j = 1bar, Q_0 := 0 makes this factor 1
         out = NovikovFraction.geometric(n, -j - 1)
-    return _maybe_trunc(out, trunc)
+    return out
 
 
 def factorization_holds(n, I, trunc=None):
@@ -93,7 +108,7 @@ def f_poly(n, l, variant="full", k=None, trunc=None):
     pool = _variant_pool(n, variant, k)
     out = ZLaurentElement.zero(n)
     for I in itertools.combinations(pool, l):
-        coeff = _maybe_trunc(_one(n), trunc)
+        coeff = _unit(n, trunc)
         for j in universe(n):
             coeff = coeff * zeta(n, I, j, trunc)
         out = out + ZLaurentElement.monomial(n, eps_I(n, I), coeff)
@@ -105,7 +120,7 @@ def elementary_z(n, l, trunc=None):
     out = ZLaurentElement.zero(n)
     for I in itertools.combinations(universe(n), l):
         out = out + ZLaurentElement.monomial(
-            n, eps_I(n, I), _maybe_trunc(_one(n), trunc))
+            n, eps_I(n, I), _unit(n, trunc))
     return out
 
 
@@ -113,7 +128,7 @@ def ideal_generators(n, trunc=None):
     """The n generators F_l - E_l of the presentation ideal."""
     out = []
     for l in range(1, n + 1):
-        const = _maybe_trunc(_one(n), trunc) * elementary_E(n, l)
+        const = _unit(n, trunc) * elementary_E(n, l)
         out.append(f_poly(n, l, trunc=trunc)
                    - ZLaurentElement.constant(n, const))
     return out
@@ -145,6 +160,7 @@ def _t_binomial(n, j):
     return NovikovSeries.one(n) - NovikovSeries.variable(n, j)
 
 
+@lru_cache(maxsize=None)
 def _z_factor(n, j, power, trunc):
     """The module-side factor replacing z_j^{power}: each positive power
     contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse;
@@ -153,7 +169,8 @@ def _z_factor(n, j, power, trunc):
         out = NovikovFraction(n, _t_binomial(n, j - 1), _eps(n, j))
     else:
         out = NovikovFraction(n, _t_binomial(n, j), _eps(n, j - 1))
-    return _maybe_trunc(out ** abs(power), trunc)
+    out = out ** abs(power)
+    return out if trunc is None else out.truncate(trunc)
 
 
 def to_semimod(p):

@@ -33,10 +33,17 @@ KeyedSum is a finite sum over hashable basis keys with Poly or
 NovikovFraction coefficients.  ZLaurentElement (keys: exponent vectors of
 z_1..z_n), semimod.SemiModElement and ichevalley.SemiClassSum add only
 their keys' printed form and their own products.
+
+Values are immutable and may be shared between callers: every operation
+returns a new value, and no code mutates `.terms` (or a fraction's
+numerator and denominator) in place.  The units, `geometric_inverse`
+and the fraction denominators are therefore built once per argument
+tuple and handed out to every caller.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 
 
@@ -149,6 +156,10 @@ class Poly:
             return NotImplemented
         like, ta, tb = pair
         trunc = like.trunc
+        if len(ta) == 1:
+            ta, tb = tb, ta
+        if len(tb) == 1:
+            return like._like(_shift(ta, tb, trunc))
         out = {}
         get = out.get
         for ka, va in ta.items():
@@ -221,6 +232,19 @@ class Poly:
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
+
+
+def _shift(terms, mono, trunc):
+    """terms times the one-term map mono: every key moves by the same
+    exponent, so no two terms merge and none cancels."""
+    (kb, vb), = mono.items()
+    if not any(kb):
+        return dict(terms) if vb == 1 else {k: v * vb for k, v in terms.items()}
+    if trunc is None:
+        return {tuple(map(add, ka, kb)): va * vb for ka, va in terms.items()}
+    room = trunc - kb[0]
+    return {tuple(map(add, ka, kb)): va * vb
+            for ka, va in terms.items() if ka[0] <= room}
 
 
 def _render_terms(items):
@@ -330,7 +354,7 @@ class NovikovSeries(Poly):
 
     @classmethod
     def one(cls, n, trunc=None):
-        return cls.monomial(n, (0,) * n, trunc=trunc)
+        return _series_one(n, trunc)
 
     @classmethod
     def constant(cls, n, value, trunc=None):
@@ -393,7 +417,7 @@ class NovikovFraction:
 
     @classmethod
     def one(cls, n):
-        return cls(n, NovikovSeries.one(n))
+        return _fraction_one(n)
 
     @classmethod
     def geometric(cls, n, j):
@@ -409,14 +433,6 @@ class NovikovFraction:
             return NovikovFraction(self.n, NovikovSeries.one(self.n) * other)
         return other if isinstance(other, NovikovFraction) else None
 
-    def _den_poly(self, counts):
-        poly = NovikovSeries.one(self.n)
-        for j, c in enumerate(counts, start=1):
-            if c:
-                factor = NovikovSeries.one(self.n) - NovikovSeries.variable(self.n, j)
-                poly = poly * factor ** c
-        return poly
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -424,8 +440,8 @@ class NovikovFraction:
         if self.n != other.n:
             raise ConfigError("rank mismatch")
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        lift_a = self._den_poly(tuple(d - a for d, a in zip(den, self.den)))
-        lift_b = self._den_poly(tuple(d - b for d, b in zip(den, other.den)))
+        lift_a = _den_poly(self.n, tuple(d - a for d, a in zip(den, self.den)))
+        lift_b = _den_poly(self.n, tuple(d - b for d, b in zip(den, other.den)))
         return NovikovFraction(
             self.n, self.num * lift_a + other.num * lift_b, den)
 
@@ -468,8 +484,8 @@ class NovikovFraction:
             return NotImplemented
         if self.n != other.n:
             return False
-        lhs = self.num * self._den_poly(other.den)
-        rhs = other.num * self._den_poly(self.den)
+        lhs = self.num * _den_poly(self.n, other.den)
+        rhs = other.num * _den_poly(self.n, self.den)
         return lhs == rhs
 
     __hash__ = None
@@ -491,6 +507,27 @@ class NovikovFraction:
 
     def __repr__(self):
         return "NovikovFraction(%r)" % self.render()
+
+
+@lru_cache(maxsize=None)
+def _series_one(n, trunc):
+    return NovikovSeries.monomial(n, (0,) * n, trunc=trunc)
+
+
+@lru_cache(maxsize=None)
+def _fraction_one(n):
+    return NovikovFraction(n, NovikovSeries.one(n))
+
+
+@lru_cache(maxsize=None)
+def _den_poly(n, counts):
+    """prod_j (1 - x_j)^{counts[j]} as an exact series."""
+    poly = NovikovSeries.one(n)
+    for j, c in enumerate(counts, start=1):
+        if c:
+            factor = NovikovSeries.one(n) - NovikovSeries.variable(n, j)
+            poly = poly * factor ** c
+    return poly
 
 
 class KeyedSum:
@@ -586,6 +623,7 @@ class ZLaurentElement(KeyedSum):
                                 for exps, coeff in self.sorted_terms())
 
 
+@lru_cache(maxsize=None)
 def geometric_inverse(n, j, trunc):
     """The truncated inverse of (1 - x_j): sum of x_j^k for k <= trunc."""
     if not 1 <= j <= n:

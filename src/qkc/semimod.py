@@ -8,11 +8,18 @@ monomial T^xi inside the coefficient.
 Provides the psi/phi/theta operator factors, the elements FF_l and their
 upper/barred variants, the staircase/mountain recursion checks, the
 symmetry FF_k = FF_{2n-k}, and the star-map duality refinements.
+
+psi, theta_sinf and phi (and qkpres.zeta and qkpres.eta) read the index
+set I only through `_case`, the two or three membership facts that
+decide their value at position j.  Each value is built once per
+(n, j, case, trunc) and shared, so a table holds at most 12n entries
+per truncation however many index sets are asked about.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .rings import (
     ConfigError,
@@ -45,43 +52,63 @@ def adjacent_in(n, I, a, b):
     return not any(lo < order_key(n, x) < hi for x in I)
 
 
-def _one(n, trunc):
-    return NovikovSeries.one(n, trunc)
-
-
+@lru_cache(maxsize=None)
 def _t_mono(n, a, b, trunc=None):
     """T_a T_{a+1} ... T_b (or Q_a ... Q_b) as a series monomial."""
     return NovikovSeries.monomial(n, _alpha_range(n, a, b), trunc=trunc)
 
 
+def _case(n, I, j):
+    """The membership facts of I that psi, theta_sinf, phi, qkpres.zeta and
+    qkpres.eta read at position j: (j in I, succ(j) in I), succ being the
+    next element in the [1,1bar] order, and for j = jj bar with jj > 1
+    first whether jj-1 and its bar are adjacent in I; nothing at 1bar."""
+    if j > 0:
+        return (j in I, (j + 1 if j < n else -n) in I)
+    if j == -1:
+        return ()
+    jj = -j
+    return (adjacent_in(n, I, jj - 1, -(jj - 1)), -jj in I, -(jj - 1) in I)
+
+
 def psi(n, I, j, trunc=None):
     """The operator factor psi_I(j), j a signed element of [1,1bar]."""
-    I = frozenset(I)
-    out = _one(n, trunc)
+    return _psi(n, j, _case(n, frozenset(I), j), trunc)
+
+
+@lru_cache(maxsize=None)
+def _psi(n, j, case, trunc):
+    out = NovikovSeries.one(n, trunc)
     if j > 0:
-        succ = j + 1 if j < n else -n
-        if j not in I and succ in I:
+        here, succ = case
+        if not here and succ:
             out = out - _t_mono(n, j, j, trunc)
     elif j != -1:
+        adjacent, here, succ = case
         jj = -j
-        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+        if adjacent:
             out = (out - _t_mono(n, jj - 1, jj - 1, trunc)
                    + _t_mono(n, jj - 1, n, trunc))
-        elif -jj not in I and -(jj - 1) in I:
+        elif not here and succ:
             out = out - _t_mono(n, jj - 1, jj - 1, trunc)
     return out
 
 
 def theta_sinf(n, I, j, trunc=None):
-    I = frozenset(I)
-    out = _one(n, trunc)
+    return _theta_sinf(n, j, _case(n, frozenset(I), j), trunc)
+
+
+@lru_cache(maxsize=None)
+def _theta_sinf(n, j, case, trunc):
+    out = NovikovSeries.one(n, trunc)
     if j > 0:
-        if (j + 1 if j < n else -n) in I:
+        _, succ = case
+        if succ:
             out = out - _t_mono(n, j, j, trunc)
     elif j != -1:
-        jj = -j
-        if -(jj - 1) in I:
-            out = out - _t_mono(n, jj - 1, jj - 1, trunc)
+        _, _, succ = case
+        if succ:
+            out = out - _t_mono(n, -j - 1, -j - 1, trunc)
     return out
 
 
@@ -89,25 +116,32 @@ def phi(n, I, j, trunc=None):
     """The phi factor, psi = phi * theta on the semi-infinite side and
     zeta * eta = phi on the z-side: an exact NovikovFraction, or with
     trunc given that fraction expanded once to degree trunc."""
-    I = frozenset(I)
+    return _phi(n, j, _case(n, frozenset(I), j), trunc)
+
+
+@lru_cache(maxsize=None)
+def _phi(n, j, case, trunc):
+    if trunc is not None:
+        return _phi(n, j, case, None).truncate(trunc)
     out = NovikovFraction.one(n)
     if j > 0:
-        succ = j + 1 if j < n else -n
-        if j in I and succ in I:
+        here, succ = case
+        if here and succ:
             out = NovikovFraction.geometric(n, j)
     elif j != -1:
+        adjacent, here, succ = case
         jj = -j
-        if adjacent_in(n, I, jj - 1, -(jj - 1)):
-            num = (_one(n, None) - _t_mono(n, jj - 1, jj - 1)
+        if adjacent:
+            num = (NovikovSeries.one(n) - _t_mono(n, jj - 1, jj - 1)
                    + _t_mono(n, jj - 1, n))
             out = NovikovFraction(n, num, _eps(n, jj - 1))
-        elif -jj in I and -(jj - 1) in I:
+        elif here and succ:
             out = NovikovFraction.geometric(n, jj - 1)
-    return out if trunc is None else out.truncate(trunc)
+    return out
 
 
 def psi_product(n, I, trunc=None):
-    out = _one(n, trunc)
+    out = NovikovSeries.one(n, trunc)
     for j in universe(n):
         f = psi(n, I, j, trunc)
         out = out * f
@@ -339,14 +373,15 @@ def duality_hypothesis(n, I, A, B):
 def bare_psi_product(n, I, trunc=None):
     """The simplified product from the duality lemma."""
     I = frozenset(I)
-    out = _one(n, trunc)
+    one = NovikovSeries.one(n, trunc)
+    out = one
     for j in range(1, n + 1):
         succ = j + 1 if j < n else -n
         if j not in I and succ in I:
-            out = out * (_one(n, trunc) - _t_mono(n, j, j, trunc))
+            out = out * (one - _t_mono(n, j, j, trunc))
     for j in range(2, n + 1):
         if -j not in I and -(j - 1) in I:
-            out = out * (_one(n, trunc) - _t_mono(n, j - 1, j - 1, trunc))
+            out = out * (one - _t_mono(n, j - 1, j - 1, trunc))
     return out
 
 

@@ -5,7 +5,7 @@ import threading
 import jsonschema
 import pytest
 
-from qkc import qbg, qkpres, relations, semimod, verify
+from qkc import qbg, qkpres, relations, rings, semimod, verify
 from qkc.cli import main
 from qkc.rings import GroupRingElement
 from qkc.verify import SUITES, run_suite
@@ -131,6 +131,55 @@ def test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode):
         "dictionary-variants": (False, "upper k=1 l=1"),
         "specialization-at-Q-zero": (True, ""),
     }
+
+
+@pytest.mark.parametrize("mode", ["truncated", "exact"])
+def test_faults_show_after_the_tables_are_filled(monkeypatch, mode):
+    # a stale table entry would hide a fault injected after this run
+    assert run_suite("qkpres", 2, mode).ok
+    test_phi_theta_psi_reports_first_failure(monkeypatch)
+    monkeypatch.undo()
+    test_broken_phi_case_fails_both_factorizations(monkeypatch, mode)
+    monkeypatch.undo()
+    test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode)
+
+
+# Every table of built-once values, as the modules that call it look it up.
+SHARED_TABLES = [
+    (rings, "_series_one"), (rings, "_fraction_one"), (rings, "_den_poly"),
+    (rings, "geometric_inverse"), (semimod, "_t_mono"), (qkpres, "_t_mono"),
+    (semimod, "_psi"), (semimod, "_theta_sinf"), (semimod, "_phi"),
+    (qkpres, "_zeta"), (qkpres, "_eta"), (qkpres, "_z_factor"),
+]
+
+
+def _snapshot(value):
+    if isinstance(value, rings.NovikovFraction):
+        return id(value.num), dict(value.num.terms), value.num.trunc, value.den
+    return dict(value.terms), value.trunc
+
+
+def test_shared_values_are_never_mutated(monkeypatch, capsys):
+    handed_out, used = {}, set()
+
+    def recording(name, table):
+        def lookup(*args):
+            value = table(*args)
+            handed_out[id(value)] = value
+            used.add(name)
+            return value
+        return lookup
+
+    for module, name in SHARED_TABLES:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    for mode in ("truncated", "exact"):
+        assert run(capsys, "verify", "--n", "3", "--mode", mode)[0] == 0
+    monkeypatch.undo()
+    assert used == {name for _, name in SHARED_TABLES}
+    before = {key: _snapshot(v) for key, v in handed_out.items()}
+    for mode in ("truncated", "exact"):
+        assert run(capsys, "verify", "--n", "3", "--mode", mode)[0] == 0
+    assert {key: _snapshot(v) for key, v in handed_out.items()} == before
 
 
 def _failing_relations_checks(capsys):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from qkc import qkpres
 from qkc.qkpres import (
     check_coefficient_factorization,
     elementary_z,
@@ -23,7 +24,10 @@ from qkc.rings import (
     ZLaurentElement,
     specialize_Q_zero,
 )
-from qkc.semimod import SemiModElement, ff, phi, universe
+from qkc.semimod import SemiModElement, adjacent_in, ff, phi, universe
+from qkc.weylc import _eps
+
+from test_semimod import check_case_table
 
 
 def q_mono(n, a, b):
@@ -50,6 +54,43 @@ def test_zeta_table_example():
     assert zeta(n, I, -3) == frac(one - q_mono(n, 2, 2))
     assert zeta(n, I, -2) == frac(one)
     assert zeta(n, I, -1) == frac(one)
+
+
+# zeta and eta as they read the index set I directly: the oracle for the
+# tables keyed by semimod._case.
+
+def oracle_zeta(n, I, j, trunc=None):
+    out = NovikovFraction.one(n)
+    if j > 0:
+        succ = j + 1 if j < n else -n
+        if j in I and succ not in I:
+            out = out - q_mono(n, j, j)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            num = (NovikovSeries.one(n) - q_mono(n, jj - 1, jj - 1)
+                   + q_mono(n, jj - 1, n))
+            out = NovikovFraction(n, num, _eps(n, jj - 1))
+        elif -jj in I and -(jj - 1) not in I:
+            out = out - q_mono(n, jj - 1, jj - 1)
+    return out if trunc is None else out.truncate(trunc)
+
+
+def oracle_eta(n, I, j, trunc=None):
+    out = NovikovFraction.one(n)
+    if j > 0 and j in I:
+        out = NovikovFraction.geometric(n, j)
+    elif j < -1 and j in I:
+        out = NovikovFraction.geometric(n, -j - 1)
+    return out if trunc is None else out.truncate(trunc)
+
+
+@pytest.mark.parametrize("fn, oracle, table", [
+    (zeta, oracle_zeta, qkpres._zeta),
+    (eta, oracle_eta, qkpres._eta),
+], ids=["zeta", "eta"])
+def test_case_table_matches_index_set_oracle(fn, oracle, table):
+    check_case_table(fn, oracle, table)
 
 
 def test_empty_set_gives_trivial_factors():

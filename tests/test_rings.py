@@ -212,3 +212,152 @@ def test_cross_layout_equality_is_symmetric_and_hash_consistent():
     assert NovikovFraction.one(n) != NovikovSeries.one(n, 4)
     assert NovikovSeries.one(n, 4) != NovikovSeries.one(n)
     assert NovikovSeries.one(n, 4) == 1 == NovikovSeries.one(n)
+
+
+# An oracle that shares no code with the kernel: sympy expands the same
+# values written as Laurent expressions in X1, X2 (series variables), q
+# and E1, E2 (e^{eps_1}, e^{eps_2}), and the result is read back into the
+# key layout of the expected ring.
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+
+N = 2
+LAYOUTS = (GroupRingElement, QExtElement, NovikovSeries)
+if sympy is not None:
+    X = sympy.symbols("X1:%d" % (N + 1))
+    Q = sympy.Symbol("q")
+    E = sympy.symbols("E1:%d" % (N + 1))
+    SLOTS = {GroupRingElement: E, QExtElement: (Q,) + E,
+             NovikovSeries: X + (Q,) + E}
+
+
+def to_expr(p):
+    """A Poly as a sympy expression; a series key's leading total degree
+    is left out."""
+    syms = SLOTS[type(p)]
+    skip = 1 if isinstance(p, NovikovSeries) else 0
+    return sympy.Add(*[c * sympy.Mul(*[s ** e for s, e in zip(syms, k[skip:])])
+                       for k, c in p.terms.items()])
+
+
+def oracle_terms(expr, cls, trunc=None):
+    """The terms of expr, expanded by sympy, in the key layout of cls;
+    for a series, the terms of total degree above trunc are dropped."""
+    syms = SLOTS[cls]
+    out = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        if term == 0:
+            continue
+        coeff, mono = term.as_coeff_Mul()
+        assert coeff.is_integer, term
+        powers = mono.as_powers_dict()
+        exps = tuple(int(powers.get(s, 0)) for s in syms)
+        if cls is NovikovSeries:
+            deg = sum(exps[:N])
+            if trunc is not None and deg > trunc:
+                continue
+            exps = (deg,) + exps
+        out[exps] = int(coeff)
+    return out
+
+
+def fraction_expr(f):
+    den = sympy.Mul(*[(1 - x) ** d for x, d in zip(X, f.den)])
+    return to_expr(f.num) / den
+
+
+@st.composite
+def elements(draw, cls, trunc=None):
+    """A random element of one layout: dense, one term, a constant or 1."""
+    shape = draw(st.sampled_from(("dense", "one-term", "constant", "unit")))
+    if shape == "unit":
+        return NovikovSeries.one(N, trunc) if cls is NovikovSeries \
+            else cls.one(N)
+    small = st.integers(-2, 2)
+    terms = {}
+    for _ in range(1 if shape != "dense" else draw(st.integers(0, 6))):
+        w = tuple(draw(small) for _ in range(N))
+        key = w if cls is GroupRingElement else (draw(small),) + w
+        if cls is NovikovSeries:
+            x = tuple(draw(st.integers(0, 3)) for _ in range(N))
+            key = (sum(x),) + x + key
+        if shape == "constant":
+            key = (0,) * len(key)
+        terms[key] = draw(st.integers(-4, 4).filter(bool))
+    if cls is NovikovSeries:
+        return NovikovSeries(N, trunc, terms)
+    return cls(N, terms)
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_and_sums_match_sympy(data):
+    trunc = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
+    ca = data.draw(st.sampled_from(LAYOUTS))
+    cb = data.draw(st.sampled_from(LAYOUTS))
+    a = data.draw(elements(ca, trunc))
+    b = data.draw(elements(cb, trunc))
+    wide = max(ca, cb, key=LAYOUTS.index)
+    A, B = to_expr(a), to_expr(b)
+    for got, expr in ((a * b, A * B), (b * a, A * B),
+                      (a + b, A + B), (a - b, A - B)):
+        assert type(got) is wide
+        assert got.terms == oracle_terms(expr, wide, trunc), (a, b)
+
+
+@needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_div_matches_sympy(data):
+    key = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    c = data.draw(st.integers(-3, 3).filter(bool))
+    nu = data.draw(key)
+    if data.draw(st.booleans()):
+        mu = data.draw(key.filter(lambda k: k != nu))
+        d = GroupRingElement(N, {mu: c, nu: -c})
+    else:
+        d = GroupRingElement(N, {nu: c})
+    a = data.draw(elements(GroupRingElement))
+    if data.draw(st.booleans()):  # a multiple of d
+        a = GroupRingElement(
+            N, oracle_terms(to_expr(a) * to_expr(d), GroupRingElement))
+    quotient = sympy.cancel(to_expr(a) / to_expr(d))
+    _, den = sympy.fraction(sympy.together(quotient))
+    terms = sympy.Add.make_args(sympy.expand(quotient))
+    if sympy.Poly(den, *E).is_monomial and all(
+            t.as_coeff_Mul()[0].is_integer for t in terms):
+        assert exact_div(a, d).terms == oracle_terms(quotient, GroupRingElement)
+    else:
+        with pytest.raises(DivisibilityError):
+            exact_div(a, d)
+
+
+@st.composite
+def fractions(draw):
+    num = draw(elements(NovikovSeries))
+    den = tuple(draw(st.integers(0, 2)) for _ in range(N))
+    return NovikovFraction(N, num, den)
+
+
+@needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(fractions(), st.data())
+def test_fraction_equality_matches_sympy(fa, data):
+    if data.draw(st.booleans()):
+        # the same value over a larger denominator
+        j = data.draw(st.integers(0, N - 1))
+        k = data.draw(st.integers(1, 2))
+        num = oracle_terms(to_expr(fa.num) * (1 - X[j]) ** k, NovikovSeries)
+        den = tuple(d + k * (i == j) for i, d in enumerate(fa.den))
+        fb = NovikovFraction(N, NovikovSeries(N, None, num), den)
+    else:
+        fb = data.draw(fractions())
+    expect = sympy.cancel(fraction_expr(fa) - fraction_expr(fb)) == 0
+    assert (fa == fb) == expect
+    assert (fb == fa) == expect

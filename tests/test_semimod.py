@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from qkc import semimod
 from qkc.rings import GroupRingElement, NovikovFraction, NovikovSeries, QExtElement
 from qkc.semimod import (
     SemiModElement,
     UnsupportedOperandError,
+    adjacent_in,
     bare_psi_product,
     check_duality,
     check_recursion,
@@ -24,12 +26,13 @@ from qkc.semimod import (
     theta_sinf,
     universe,
 )
-from qkc.weylc import SignedPerm
+from qkc.weylc import SignedPerm, _eps
 
 
-def t_mono(n, a, b):
+def t_mono(n, a, b, trunc=None):
     return NovikovSeries.monomial(
-        n, tuple(1 if a <= t <= b else 0 for t in range(1, n + 1)))
+        n, tuple(1 if a <= t <= b else 0 for t in range(1, n + 1)),
+        trunc=trunc)
 
 
 def all_subsets(n):
@@ -53,6 +56,78 @@ def test_psi_table_example():
     ]
     got = [psi(n, I, j) for j in universe(n)]
     assert got == expect
+
+
+# The coefficient functions as they read the index set I directly: the
+# oracle for the tables keyed by semimod._case.
+
+def oracle_psi(n, I, j, trunc=None):
+    out = NovikovSeries.one(n, trunc)
+    if j > 0:
+        succ = j + 1 if j < n else -n
+        if j not in I and succ in I:
+            out = out - t_mono(n, j, j, trunc)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            out = (out - t_mono(n, jj - 1, jj - 1, trunc)
+                   + t_mono(n, jj - 1, n, trunc))
+        elif -jj not in I and -(jj - 1) in I:
+            out = out - t_mono(n, jj - 1, jj - 1, trunc)
+    return out
+
+
+def oracle_theta_sinf(n, I, j, trunc=None):
+    out = NovikovSeries.one(n, trunc)
+    if j > 0:
+        if (j + 1 if j < n else -n) in I:
+            out = out - t_mono(n, j, j, trunc)
+    elif j != -1:
+        jj = -j
+        if -(jj - 1) in I:
+            out = out - t_mono(n, jj - 1, jj - 1, trunc)
+    return out
+
+
+def oracle_phi(n, I, j, trunc=None):
+    out = NovikovFraction.one(n)
+    if j > 0:
+        succ = j + 1 if j < n else -n
+        if j in I and succ in I:
+            out = NovikovFraction.geometric(n, j)
+    elif j != -1:
+        jj = -j
+        if adjacent_in(n, I, jj - 1, -(jj - 1)):
+            num = (NovikovSeries.one(n) - t_mono(n, jj - 1, jj - 1)
+                   + t_mono(n, jj - 1, n))
+            out = NovikovFraction(n, num, _eps(n, jj - 1))
+        elif -jj in I and -(jj - 1) in I:
+            out = NovikovFraction.geometric(n, jj - 1)
+    return out if trunc is None else out.truncate(trunc)
+
+
+def check_case_table(fn, oracle, table):
+    """fn equals the oracle on every I and j for n <= 4, exact and at
+    trunc = 2n+2, and its table then holds at most 12n values per
+    truncation: it is keyed by the case of I, not by I."""
+    for n in range(1, 5):
+        table.cache_clear()
+        truncs = (None, 2 * n + 2)
+        for I in all_subsets(n):
+            for j in universe(n):
+                for trunc in truncs:
+                    assert fn(n, I, j, trunc) == oracle(n, I, j, trunc), \
+                        (n, sorted(I), j, trunc)
+        assert table.cache_info().currsize <= 12 * n * len(truncs), n
+
+
+@pytest.mark.parametrize("fn, oracle, table", [
+    (psi, oracle_psi, semimod._psi),
+    (theta_sinf, oracle_theta_sinf, semimod._theta_sinf),
+    (phi, oracle_phi, semimod._phi),
+], ids=["psi", "theta_sinf", "phi"])
+def test_case_table_matches_index_set_oracle(fn, oracle, table):
+    check_case_table(fn, oracle, table)
 
 
 def test_phi_theta_factorization_of_psi():

@@ -182,6 +182,33 @@ def test_length_matches_root_count_on_whole_group():
             assert w.length() == root_count_length(w), w
 
 
+def bfs_length(n):
+    """Reference length by definition: the distance from the identity in
+    the Cayley graph of the simple reflections, walked breadth-first."""
+    simples = [SignedPerm.simple(n, i) for i in range(1, n + 1)]
+    dist = {SignedPerm.identity(n): 0}
+    frontier = list(dist)
+    while frontier:
+        step = []
+        for w in frontier:
+            for s in simples:
+                ws = w * s
+                if ws not in dist:
+                    dist[ws] = dist[w] + 1
+                    step.append(ws)
+        frontier = step
+    return dist
+
+
+def test_length_matches_breadth_first_distance():
+    for n in range(1, 5):
+        dist = bfs_length(n)
+        group = enumerate_group(n)
+        assert len(dist) == len(group)
+        for w in group:
+            assert w.length() == dist[w], w
+
+
 def test_rho():
     for n in range(1, 7):
         assert rho_vector(n) == tuple(range(n, 0, -1))
