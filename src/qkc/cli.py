@@ -41,6 +41,19 @@ def _window(text):
             "expected a signed permutation like [2,-1], got %r" % text)
 
 
+def _seq(text):
+    """'theta:K' or 'gamma:K' as (name, K).  The range of K depends on
+    --w, so theta_seq and gamma_seq check it."""
+    name, _, k = text.partition(":")
+    if name in ("theta", "gamma"):
+        try:
+            return name, int(k)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        "expected theta:K or gamma:K with K an integer, got %r" % text)
+
+
 def _read_config(path):
     try:
         with open(path) as handle:
@@ -83,7 +96,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--n", type=_positive_int)
-    p.add_argument("--trunc", type=_positive_int)
+    p.add_argument("--trunc", type=_positive_int,
+                   help="truncated mode: the Novikov degree at which the "
+                        "semimod and qkpres series are cut (default 2n+2); "
+                        "relations always cuts its t-polynomials at 2n+2, "
+                        "and qbg, alcove and ic have no series")
     p.add_argument("--mode", choices=("truncated", "exact"))
     p.add_argument("--suite",
                    help="suite name, comma-separated list, or 'all'")
@@ -112,7 +129,8 @@ def build_parser():
     a = asub.add_parser("list", help="list admissible subsets")
     a.add_argument("--w", type=_window, required=True,
                    help='window notation, e.g. "[2,-1]"')
-    a.add_argument("--seq", required=True, help="theta:K or gamma:K")
+    a.add_argument("--seq", type=_seq, required=True,
+                   help="theta:K or gamma:K")
     a.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ic", help="evaluate the inverse Chevalley formula")
@@ -209,20 +227,10 @@ def _cmd_show(args, parser):
     return 0
 
 
-def _cmd_alcove(args, parser):
-    w = args.w
-    try:
-        name, k_text = args.seq.split(":")
-        k = int(k_text)
-    except ValueError:
-        parser.error("--seq must look like theta:2 or gamma:2")
-    if name == "theta":
-        seq = alcove.theta_seq(w.n, k)
-    elif name == "gamma":
-        seq = alcove.gamma_seq(w.n, k)
-    else:
-        parser.error("unknown sequence %r" % name)
-    fam = alcove.admissible_subsets(w, seq)
+def _cmd_alcove(args):
+    name, k = args.seq
+    make = alcove.theta_seq if name == "theta" else alcove.gamma_seq
+    fam = alcove.admissible_subsets(args.w, make(args.w.n, k))
     if args.json:
         payload = [{"positions": list(a.positions), "end": a.end.render(),
                     "down": list(a.down)} for a in fam]
@@ -276,7 +284,7 @@ def main(argv=None):
             sys.stdout.write(qbg.export(edges, args.format))
             return 0
         if args.command == "alcove":
-            return _cmd_alcove(args, parser)
+            return _cmd_alcove(args)
         if args.command == "ic":
             return _cmd_ic(args)
         return _cmd_solve(args)

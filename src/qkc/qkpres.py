@@ -92,14 +92,12 @@ def factorization_holds(n, I, trunc=None):
 
 def check_coefficient_factorization(n, trunc=None):
     """zeta * eta = phi for every subset of [1,1bar] and every position."""
-    results = []
     pool = universe(n)
     for size in range(len(pool) + 1):
         for I in itertools.combinations(pool, size):
-            results.append((
-                "zeta-eta-phi-I%s" % (sorted(I, key=lambda x: order_key(n, x)),),
-                factorization_holds(n, I, trunc), ""))
-    return results
+            label = sorted(I, key=lambda x: order_key(n, x))
+            yield ("zeta-eta-phi-I%s" % (label,),
+                   factorization_holds(n, I, trunc), "")
 
 
 def f_poly(n, l, variant="full", k=None, trunc=None):

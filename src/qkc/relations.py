@@ -287,37 +287,35 @@ def csym_nested_lhs(variables, m):
 def check_csym_props(n_max=4, m_max=6):
     """The four complete-symmetric identities plus the index symmetry of
     the hyperbolic elementary polynomials."""
-    results = []
     for nv in range(1, n_max + 1):
         hv = _hyperbolic_vars(nv, nv)
         ok = h_poly(hv, 0) == GroupRingElement.one(nv)
-        results.append(("csym-1-n%d" % nv, ok, ""))
+        yield ("csym-1-n%d" % nv, ok, "")
     for m in range(1, m_max + 1):
         n = 1
         x1 = _mono(n, (1,))
         lhs = _mono(n, (m,)) + _mono(n, (-m,))
         pair = [x1, _mono(n, (-1,))]
         ok = lhs == h_poly(pair, m) - h_poly(pair, m - 2)
-        results.append(("csym-2-m%d" % m, ok, ""))
+        yield ("csym-2-m%d" % m, ok, "")
     for m in range(1, m_max + 1):
         n = 2
         hv = _hyperbolic_vars(n, 2)
         lhs = (_mono(n, (-m, 0))
                * _geom(n, (1, -1), m + 1) * _geom(n, (1, 1), m + 1))
         ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
-        results.append(("csym-3-m%d" % m, ok, ""))
+        yield ("csym-3-m%d" % m, ok, "")
     for nv in range(3, n_max + 1):
         variables = [_mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
         hv = _hyperbolic_vars(nv, nv)
         for m in range(1, m_max + 1):
             lhs = csym_nested_lhs(variables, m)
             ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
-            results.append(("csym-4-n%d-m%d" % (nv, m), ok, ""))
+            yield ("csym-4-n%d-m%d" % (nv, m), ok, "")
     for n in range(1, n_max + 1):
         for l in range(1, n + 1):
             ok = elementary_E(n, n + l) == elementary_E(n, n - l)
-            results.append(("elementary-symmetry-n%d-l%d" % (n, l), ok, ""))
-    return results
+            yield ("elementary-symmetry-n%d-l%d" % (n, l), ok, "")
 
 
 def system_row(n, k):
@@ -437,20 +435,26 @@ def check_generating_identities(n, d_t=None):
     gf-2 compares the product of the 2n factors (1 + x t) with the
     elementary_E list, so it alone covers the E_m; gf-3 multiplies by
     the same 2n factors and checks the product against the tail factors
-    times (1 - t^2) and against e_poly over the tail variables."""
+    times (1 - t^2) and against e_poly over the tail variables.
+
+    A d_t below 2n raises ConfigError here; the records are then
+    yielded one at a time."""
     if d_t is None:
         d_t = 2 * n + 2
     if d_t < 2 * n:
         raise ConfigError("t-truncation must reach degree 2n")
-    results = []
+    return _gf_records(n, d_t)
+
+
+def _gf_records(n, d_t):
     one = GroupRingElement.one(n)
     zero = GroupRingElement.zero(n)
     for k in range(n):
         hs_d, hd_d, lhs, rhs = _gf_row_products(n, k, d_t)
         ok = _t_trim(hs_d) == [one]
-        results.append(("gf-sum-complete-k%d" % k, ok, ""))
+        yield ("gf-sum-complete-k%d" % k, ok, "")
         ok = _t_trim(hd_d) == _t_trim([one, zero, -one])
-        results.append(("gf-1-k%d" % k, ok, ""))
+        yield ("gf-1-k%d" % k, ok, "")
         lhs, rhs = _t_trim(lhs), _t_trim(rhs)
         ok = lhs == rhs
         ok = ok and len(rhs) - 1 <= 2 * (n - k - 1) + 2
@@ -459,9 +463,8 @@ def check_generating_identities(n, d_t=None):
                   for m in range(2 * (n - k - 1) + 3)]
         ok = ok and rhs == _t_trim(expect)
         ok = ok and (len(lhs) <= n - k or lhs[n - k].is_zero())
-        results.append(("gf-3-k%d" % k, ok, ""))
+        yield ("gf-3-k%d" % k, ok, "")
     prod = _t_factors([one], _hyperbolic_vars(n, n), d_t)
     ok = _t_trim(prod) == _t_trim([elementary_E(n, m)
                                    for m in range(2 * n + 1)])
-    results.append(("gf-2", ok, ""))
-    return results
+    yield ("gf-2", ok, "")

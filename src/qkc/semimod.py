@@ -290,35 +290,31 @@ def rec_step_Q(n, k, P, Q, trunc=None):
 def check_recursion(n, trunc=None):
     """Verify the recursions against the closed forms.
 
-    Returns a list of (check id, ok, detail) triples.  trunc=None runs the
-    exact polynomial mode.
+    Yields (check id, ok, detail) triples.  trunc=None runs the exact
+    polynomial mode.
     """
-    results = []
     P = [closed_P(n, k, trunc) for k in range(n + 1)]
     Q = [None] + [closed_Q(n, k, trunc) for k in range(1, n + 1)]
     assert P[0] == SemiModElement.one(n, trunc)
     for k in range(0, n):
         ok = P[k + 1] == rec_step_P(n, k, P, trunc)
-        results.append(("rec-staircase-k%d" % k, ok, ""))
-    results.append(("staircase-meets-mountain", P[n] == Q[n], ""))
+        yield ("rec-staircase-k%d" % k, ok, "")
+    yield ("staircase-meets-mountain", P[n] == Q[n], "")
     for k in range(2, n + 1):
         ok = Q[k - 1] == rec_step_Q(n, k, P, Q, trunc)
-        results.append(("rec-mountain-k%d" % k, ok, ""))
+        yield ("rec-mountain-k%d" % k, ok, "")
     # the k=1 step lands on the full alternating sum (the scalar relation
     # consumed by the relation engine)
     full = _alternating_sum(n, 2 * n, "full", None, trunc)
     ok = rec_step_Q(n, 1, P, Q, trunc) == full
-    results.append(("rec-mountain-k1-full-sum", ok, ""))
-    return results
+    yield ("rec-mountain-k1-full-sum", ok, "")
 
 
 def check_symmetry(n, trunc=None):
     """FF_k = FF_{2n-k} as module elements."""
-    results = []
     for k in range(0, n + 1):
         ok = ff(n, k, trunc=trunc) == ff(n, 2 * n - k, trunc=trunc)
-        results.append(("symmetry-k%d" % k, ok, ""))
-    return results
+        yield ("symmetry-k%d" % k, ok, "")
 
 
 def decompose_I(n, I):
@@ -394,7 +390,6 @@ def _psi_sum(n, sets, trunc):
 
 def check_duality(n, trunc=None):
     """Group-by-group duality sums plus the S = T refinement."""
-    results = []
     subsets = [frozenset(c)
                for size in range(n + 1)
                for c in itertools.combinations(range(1, n + 1), size)]
@@ -420,8 +415,8 @@ def check_duality(n, trunc=None):
                         rhs = psi_product(n, star_map(n, I), trunc)
                         ok = ok and lhs == bare == rhs
                 ok = ok and _psi_sum(n, left, trunc) == _psi_sum(n, right, trunc)
-                results.append((
-                    "duality-A%s-B%s-k%d" % (sorted(A), sorted(B), k), ok, ""))
+                yield ("duality-A%s-B%s-k%d" % (sorted(A), sorted(B), k),
+                       ok, "")
                 # S(J, p) = T(J, p) refinements
                 for p in range(1, n - M):
                     for J in left:
@@ -432,12 +427,10 @@ def check_duality(n, trunc=None):
                                     range(M + 1, n + 1), p)]
                         s = _psi_sum(n, augs, trunc)
                         t = _psi_sum(n, [star_map(n, a) for a in augs], trunc)
-                        results.append((
-                            "duality-S-eq-T-A%s-B%s-J%s-p%d"
-                            % (sorted(A), sorted(B),
-                               sorted(J, key=lambda x: order_key(n, x)), p),
-                            s == t, ""))
-    return results
+                        yield ("duality-S-eq-T-A%s-B%s-J%s-p%d"
+                               % (sorted(A), sorted(B),
+                                  sorted(J, key=lambda x: order_key(n, x)), p),
+                               s == t, "")
 
 
 def demazure_module(i, z):

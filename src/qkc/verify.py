@@ -1,8 +1,11 @@
 """Suite runners and verification reports.
 
-Each suite re-checks one layer of the construction at a chosen rank and
-returns a deterministic list of check records.  Every check runs in
-order on the calling thread, so profilers see all of the work.
+Each suite re-checks one layer of the construction at a chosen rank.  A
+suite runner is a generator of (id, ok, location) check records, and
+`run_suite` times each record from the end of the previous one, so work
+shared by several checks is charged to the first check that uses it.
+Every check runs in order on the calling thread, so profilers see all of
+the work.
 """
 
 from __future__ import annotations
@@ -63,34 +66,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _run_tasks(tasks):
-    """Run (callable -> record list) tasks in order on this thread."""
-    out = []
-    for fn in tasks:
-        out.extend(_timed(fn))
-    return out
-
-
-def _timed(fn):
-    start = time.monotonic()
-    records = fn()
-    elapsed = time.monotonic() - start
-    share = elapsed / max(len(records), 1)
-    return [(cid, ok, loc, share) for cid, ok, loc in records]
+def _sweep(cid, failures):
+    """One record for a sweep: it fails at the first location `failures`
+    yields, and passes when it yields none."""
+    location = next(failures, None)
+    return (cid, location is None, location or "")
 
 
 def _suite_qbg(n, trunc):
     roots = positive_roots(n)
-
-    def check(w):
-        for root in roots:
-            if qbg.edge_by_pattern(w, root) != qbg.edge_by_length(w, root):
-                return [("pattern-vs-length-%s" % w.render(), False,
-                         "root %s" % root.render())]
-        return [("pattern-vs-length-%s" % w.render(), True, "")]
-
-    tasks = [lambda w=w: check(w) for w in enumerate_group(n)]
-    return _run_tasks(tasks)
+    for w in enumerate_group(n):
+        yield _sweep("pattern-vs-length-%s" % w.render(), (
+            "root %s" % root.render() for root in roots
+            if qbg.edge_by_pattern(w, root) != qbg.edge_by_length(w, root)))
 
 
 def _check_mountain_theta(n, k):
@@ -140,87 +128,62 @@ def _check_staircase_gamma(n, j):
 
 
 def _suite_alcove(n, trunc):
-    tasks = []
     for k in range(1, n + 1):
-        tasks.append(lambda k=k: _check_mountain_theta(n, k))
-        tasks.append(lambda k=k: _check_mountain_gamma(n, k))
-        tasks.append(lambda k=k: _check_staircase_gamma(n, k))
-    return _run_tasks(tasks)
-
-
-def _check_ic(n, k):
-    got = ichevalley.inverse_chevalley(ichevalley.mountain(n, k), k)
-    ok = got == ichevalley.ic2_closed(n, k)
-    return [("evaluator-vs-closed-form-k%d" % k, ok, "")]
-
-
-def _check_cancellation(n, k):
-    report = ichevalley.cancellation_report(n, k)
-    ok = report["matches_closed_form"]
-    got = {(j, chain) for j, chain, _ in report["survivors"]}
-    expect = {(j, tuple(range(k, j - 1, -1))) for j in range(1, k + 1)}
-    ok = ok and got == expect
-    return [("cancellation-accounting-k%d" % k, ok, "")]
+        yield from _check_mountain_theta(n, k)
+        yield from _check_mountain_gamma(n, k)
+        yield from _check_staircase_gamma(n, k)
 
 
 def _suite_ic(n, trunc):
-    tasks = []
     for k in range(1, n + 1):
-        tasks.append(lambda k=k: _check_ic(n, k))
-        tasks.append(lambda k=k: _check_cancellation(n, k))
-    return _run_tasks(tasks)
+        got = ichevalley.inverse_chevalley(ichevalley.mountain(n, k), k)
+        yield ("evaluator-vs-closed-form-k%d" % k,
+               got == ichevalley.ic2_closed(n, k), "")
+        report = ichevalley.cancellation_report(n, k)
+        survivors = {(j, chain) for j, chain, _ in report["survivors"]}
+        expect = {(j, tuple(range(k, j - 1, -1))) for j in range(1, k + 1)}
+        yield ("cancellation-accounting-k%d" % k,
+               report["matches_closed_form"] and survivors == expect, "")
 
 
 def _suite_semimod(n, trunc):
-    tasks = [
-        lambda: semimod.check_recursion(n, trunc),
-        lambda: semimod.check_symmetry(n, trunc),
-        lambda: semimod.check_duality(n, trunc),
-    ]
-    return _run_tasks(tasks)
+    yield from semimod.check_recursion(n, trunc)
+    yield from semimod.check_symmetry(n, trunc)
+    yield from semimod.check_duality(n, trunc)
+
+
+def _derivation(cid, check):
+    # a Demazure step whose output the divisor does not divide fails
+    try:
+        return (cid, check(), "")
+    except DivisibilityError as exc:
+        return (cid, False, str(exc))
 
 
 def _suite_relations(n, trunc):
-    def derivation(cid, check):
-        # a Demazure step whose output the divisor does not divide fails
-        try:
-            return (cid, check(), "")
-        except DivisibilityError as exc:
-            return (cid, False, str(exc))
-
-    def audits():
-        records = [("base-rewrite-audit", relations.audit_base_rewrite(n), "")]
-        if n >= 2:
-            records.append(derivation("secondary-derivation", lambda: (
-                relations.derive_secondary(relations.base_relation(n))
-                == relations.secondary_literal(n))))
-        for k in range(2, n):
-            records.append(derivation("chain-vs-nested-sum-k%d" % k, lambda: (
-                relations.chain_relation(n, k)
-                == relations.system_arbitrary(n, k))))
-        try:
-            relations.assemble_system(n, audit=True)
-            records.append(("system-rows-audit", True, ""))
-        except (ConfigError, DivisibilityError) as exc:
-            records.append(("system-rows-audit", False, str(exc)))
-        return records
-
-    def solve():
-        sol = relations.solve_system(n)
-        expect = tuple(relations.elementary_E(n, l) for l in range(n + 1))
-        records = [("solution-is-elementary", sol == expect, "")]
-        rows = relations.assemble_system(n)
-        ok = all(row.evaluate(expect).is_zero() for row in rows)
-        records.append(("rows-annihilate-elementary", ok, ""))
-        return records
-
-    tasks = [
-        audits,
-        solve,
-        lambda: relations.check_csym_props(min(n, 4)),
-        lambda: relations.check_generating_identities(n),
-    ]
-    return _run_tasks(tasks)
+    yield ("base-rewrite-audit", relations.audit_base_rewrite(n), "")
+    if n >= 2:
+        yield _derivation("secondary-derivation", lambda: (
+            relations.derive_secondary(relations.base_relation(n))
+            == relations.secondary_literal(n)))
+    for k in range(2, n):
+        yield _derivation("chain-vs-nested-sum-k%d" % k, lambda: (
+            relations.chain_relation(n, k)
+            == relations.system_arbitrary(n, k)))
+    try:
+        relations.assemble_system(n, audit=True)
+        record = ("system-rows-audit", True, "")
+    except (ConfigError, DivisibilityError) as exc:
+        record = ("system-rows-audit", False, str(exc))
+    yield record
+    sol = relations.solve_system(n)
+    expect = tuple(relations.elementary_E(n, l) for l in range(n + 1))
+    yield ("solution-is-elementary", sol == expect, "")
+    rows = relations.assemble_system(n)
+    yield ("rows-annihilate-elementary",
+           all(row.evaluate(expect).is_zero() for row in rows), "")
+    yield from relations.check_csym_props(min(n, 4))
+    yield from relations.check_generating_identities(n)
 
 
 def _check_phi_theta_psi(n, trunc):
@@ -242,47 +205,25 @@ def _check_phi_theta_psi(n, trunc):
 
 
 def _suite_qkpres(n, trunc):
-    def factorization():
-        records = qkpres.check_coefficient_factorization(n, trunc)
-        failing = [cid for cid, ok, _ in records if not ok]
-        return [("zeta-eta-equals-phi", not failing,
-                 failing[0] if failing else "")]
-
     def matches(l, variant="full", k=None):
         return (qkpres.to_semimod(qkpres.f_poly(n, l, variant, k, trunc))
                 == semimod.ff(n, l, variant, k, trunc))
 
-    def dictionary():
-        for l in range(2 * n + 1):
-            if not matches(l):
-                return [("dictionary-f-to-module", False, "l=%d" % l)]
-        return [("dictionary-f-to-module", True, "")]
-
-    def dictionary_variants():
-        for k in range(1, n + 1):
-            for variant, top in (("upper", k), ("barred", 2 * n - k)):
-                for l in range(top + 1):
-                    if not matches(l, variant, k):
-                        return [("dictionary-variants", False,
-                                 "%s k=%d l=%d" % (variant, k, l))]
-        return [("dictionary-variants", True, "")]
-
-    def specialization():
-        for l in range(2 * n + 1):
-            lhs = specialize_Q_zero(qkpres.f_poly(n, l, trunc=trunc))
-            rhs = specialize_Q_zero(qkpres.elementary_z(n, l, trunc=trunc))
-            if lhs != rhs:
-                return [("specialization-at-Q-zero", False, "l=%d" % l)]
-        return [("specialization-at-Q-zero", True, "")]
-
-    tasks = [
-        factorization,
-        lambda: _check_phi_theta_psi(n, trunc),
-        dictionary,
-        dictionary_variants,
-        specialization,
-    ]
-    return _run_tasks(tasks)
+    yield _sweep("zeta-eta-equals-phi", (
+        cid for cid, ok, _ in qkpres.check_coefficient_factorization(n, trunc)
+        if not ok))
+    yield from _check_phi_theta_psi(n, trunc)
+    yield _sweep("dictionary-f-to-module", (
+        "l=%d" % l for l in range(2 * n + 1) if not matches(l)))
+    yield _sweep("dictionary-variants", (
+        "%s k=%d l=%d" % (variant, k, l)
+        for k in range(1, n + 1)
+        for variant, top in (("upper", k), ("barred", 2 * n - k))
+        for l in range(top + 1) if not matches(l, variant, k)))
+    yield _sweep("specialization-at-Q-zero", (
+        "l=%d" % l for l in range(2 * n + 1)
+        if specialize_Q_zero(qkpres.f_poly(n, l, trunc=trunc))
+        != specialize_Q_zero(qkpres.elementary_z(n, l, trunc=trunc))))
 
 
 _RUNNERS = {
@@ -304,7 +245,12 @@ def run_suite(suite, n, mode="truncated", trunc=None):
         trunc = None
     elif trunc is None:
         trunc = 2 * n + 2
-    checks = _RUNNERS[suite](n, trunc)
+    checks = []
+    start = time.monotonic()
+    for cid, ok, location in _RUNNERS[suite](n, trunc):
+        now = time.monotonic()
+        checks.append((cid, ok, location, now - start))
+        start = now
     return VerificationReport(suite, n, trunc, mode, checks)
 
 

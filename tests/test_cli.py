@@ -50,6 +50,26 @@ def test_verify_json_with_timings_validates(capsys):
         assert "seconds" in rec
 
 
+def test_timings_are_measured_not_split(monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(verify.time, "monotonic", lambda: clock[0])
+    original = semimod.check_symmetry
+
+    def check_symmetry(n, trunc=None):
+        records = original(n, trunc)
+        yield next(records)
+        clock[0] += 5.0  # work charged to the second record only
+        yield from records
+
+    monkeypatch.setattr(semimod, "check_symmetry", check_symmetry)
+    report = run_suite("semimod", 2)
+    assert report.ok
+    seconds = {cid: s for cid, _, _, s in report.checks}
+    assert seconds["symmetry-k1"] == 5.0
+    assert all(s == 0.0 for cid, s in seconds.items() if cid != "symmetry-k1")
+    assert sum(seconds.values()) == clock[0] - 100.0
+
+
 def test_verify_output_is_byte_identical(capsys):
     _, first = run(capsys, "verify", "--n", "2", "--json")
     _, second = run(capsys, "verify", "--n", "2", "--json")
@@ -238,6 +258,9 @@ def test_exact_mode_ignores_trunc(capsys):
     ["ic", "--w", "[a]", "--m", "1"],
     ["show", "f", "--n", "2", "--l", "-1"],
     ["show", "ff", "--n", "2", "--l", "1", "--variant", "abc"],
+    ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma"],
+    ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma:x"],
+    ["alcove", "list", "--w", "[2,-1]", "--seq", "bogus:1"],
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -245,6 +268,16 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+
+
+def test_trunc_below_2n_runs_every_suite(capsys):
+    # --trunc cuts only the semimod and qkpres series; the gf identities
+    # keep their own t-degree 2n+2, so a low truncation is no usage error
+    code, out = run(capsys, "verify", "--n", "2", "--trunc", "1", "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["suite"] for r in reports] == list(SUITES)
+    assert all(r["trunc"] == 1 for r in reports)
 
 
 def test_invalid_rank_is_usage_error(capsys):
