@@ -254,8 +254,11 @@ def _cmd_ic(args):
 
 def _cmd_solve(args):
     n = args.n
-    solution = relations.solve_system(n)
     expected = tuple(relations.elementary_E(n, l) for l in range(n + 1))
+    try:
+        solution, location = relations.solve_system(n), ""
+    except relations.SolverError as exc:  # a check failure, not bad input
+        solution, location = (), str(exc)
     ok = solution == expected
     if args.json:
         payload = {
@@ -263,8 +266,12 @@ def _cmd_solve(args):
             "status": "pass" if ok else "fail",
             "solution": [x.render() for x in solution],
         }
+        if location:
+            payload["location"] = location
         sys.stdout.write(_json_dumps(payload))
     else:
+        if location:
+            print("FAIL solve-system  [%s]" % location)
         for l, x in enumerate(solution):
             mark = "PASS" if x == expected[l] else "FAIL"
             print("%s F_%d = %s" % (mark, l, x.render()))

@@ -203,7 +203,9 @@ def cancellation_report(n, k):
 
     Returns a dict with the matched cancelling pairs, the surviving chains,
     and a residual check (sum of paired contributions must be zero and the
-    survivors must add up to the closed form's unbarred block).
+    survivors must add up to the closed form's unbarred block).  A pair
+    that cannot be matched or does not cancel makes the check false, and
+    the first such pair is named under "location".
     """
     w = mountain(n, k)
     contributions = []  # (j, chain, A-labels, term)
@@ -220,6 +222,7 @@ def cancellation_report(n, k):
 
     pairs = []
     survivors = []
+    location = ""
     used = [False] * len(contributions)
     index = {}
     for pos, (j, chain, labels, block) in enumerate(contributions):
@@ -234,12 +237,14 @@ def cancellation_report(n, k):
             if not p1 and not p2:
                 continue
             if len(p1) != 1 or len(p2) != 1:
-                raise ConfigError(
+                location = location or (
                     "cancellation pairing failed at j=%d l=%d" % (j, l))
+                continue
             a, b = p1[0], p2[0]
             if not (contributions[a][3] + contributions[b][3]).is_zero():
-                raise ConfigError(
+                location = location or (
                     "paired terms do not cancel at j=%d l=%d" % (j, l))
+                continue
             used[a] = used[b] = True
             pairs.append((j, l, contributions[a][1], contributions[b][1]))
 
@@ -253,14 +258,14 @@ def cancellation_report(n, k):
     # survivors must be exactly the chains (k, k-1, ..., j) with j <= k
     expect_chains = {(j, tuple(range(k, j - 1, -1))) for j in range(1, k + 1)}
     got_chains = {(j, chain) for j, chain, _ in survivors}
-    ok = got_chains == expect_chains
-
+    ok = not location and got_chains == expect_chains
     ok = ok and residual == _staircase_block(n, k, n)
 
     return {
         "pairs": pairs,
         "survivors": survivors,
         "matches_closed_form": ok,
+        "location": location,
     }
 
 

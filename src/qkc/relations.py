@@ -6,6 +6,10 @@ X_0..X_n.  The base relation is refined by a Demazure derivation chain
 complete symmetric polynomials into a triangular recurrence system, and
 solved; the unique solution is the vector of hyperbolic elementary
 symmetric polynomials E_0..E_n.
+
+`check_system` checks the chain, the rows and the solution as records: a
+failed exact division or a non-unit pivot fails a record, and ConfigError
+means only that an argument is out of range.
 """
 
 from __future__ import annotations
@@ -334,36 +338,16 @@ def system_row(n, k):
     return RelationVector(n, coeffs)
 
 
-def assemble_system(n, audit=False):
-    """All n rows of the system.  With audit=True each row is re-derived
-    through the Demazure chain and the two must agree:
-    row 0 = base, row 1 = secondary * e^{eps_1}, and for k >= 2
-    row k = chain output * e^{-(n-1)eps_1 + eps_2 + ... + eps_k}."""
-    rows = [system_row(n, k) for k in range(n)]
-    if audit:
-        if rows[0] != base_relation(n):
-            raise ConfigError("row 0 disagrees with the base relation")
-        if n >= 2:
-            derived = derive_secondary(base_relation(n))
-            if derived != secondary_literal(n):
-                raise ConfigError("derived secondary relation disagrees")
-            if rows[1] != derived.scale(_mono(n, _eps(n, 1))):
-                raise ConfigError("row 1 disagrees with the secondary relation")
-        for k in range(2, n):
-            lit = system_arbitrary(n, k)
-            if chain_relation(n, k) != lit:
-                raise ConfigError("chain relation %d disagrees with the "
-                                  "literal nested sum" % k)
-            pref = [-(n - 1)] + [1] * (k - 1) + [0] * (n - k)
-            if rows[k] != lit.scale(_mono(n, tuple(pref))):
-                raise ConfigError("row %d disagrees with the rewritten "
-                                  "chain relation" % k)
-    return rows
+def assemble_system(n):
+    """All n rows of the system.  `check_system` compares them with the
+    derivation chain: row 0 = base, row 1 = secondary * e^{eps_1}, and for
+    k >= 2 row k = chain output * e^{-(n-1)eps_1 + eps_2 + ... + eps_k}."""
+    return [system_row(n, k) for k in range(n)]
 
 
-def solve_system(n, audit=False):
+def solve_system(n):
     """Solve the triangular system with X_0 = 1, from k = n-1 down to 0."""
-    rows = assemble_system(n, audit)
+    rows = assemble_system(n)
     values = [GroupRingElement.one(n)] + [None] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
@@ -375,6 +359,45 @@ def solve_system(n, audit=False):
             acc = acc + row.coeffs[l] * values[l]
         values[n - k] = acc * (-lead[1])
     return tuple(values)
+
+
+def _record(cid, check):
+    """The record of check(); an ArithmeticError it raises fails the
+    record, with the error message as the location."""
+    try:
+        return (cid, check(), "")
+    except ArithmeticError as exc:
+        return (cid, False, str(exc))
+
+
+def check_system(n):
+    """Records for the derivation chain, the system rows and the solve.
+    The rows audit reuses the derivation verdicts: it fails at the first
+    failed derivation, else at the first row unequal to its literal."""
+    yield ("base-rewrite-audit", audit_base_rewrite(n), "")
+    base = base_relation(n)
+    expect, derivations = [base], []
+    if n >= 2:
+        literal = secondary_literal(n)
+        expect.append(literal.scale(_mono(n, _eps(n, 1))))
+        derivations.append(_record("secondary-derivation", lambda: (
+            derive_secondary(base) == literal)))
+        yield derivations[-1]
+    for k in range(2, n):
+        literal = system_arbitrary(n, k)
+        pref = (-(n - 1),) + (1,) * (k - 1) + (0,) * (n - k)
+        expect.append(literal.scale(_mono(n, pref)))
+        derivations.append(_record("chain-vs-nested-sum-k%d" % k, lambda: (
+            chain_relation(n, k) == literal)))
+        yield derivations[-1]
+    rows = assemble_system(n)
+    faults = [location for _, ok, location in derivations if not ok]
+    faults += ["row %d" % k for k in range(n) if rows[k] != expect[k]]
+    yield ("system-rows-audit", not faults, faults[0] if faults else "")
+    values = tuple(elementary_E(n, l) for l in range(n + 1))
+    yield _record("solution-is-elementary", lambda: solve_system(n) == values)
+    yield ("rows-annihilate-elementary",
+           all(row.evaluate(values).is_zero() for row in rows), "")
 
 
 def _t_linear(a, x, bound):

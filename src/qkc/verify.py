@@ -14,7 +14,7 @@ import itertools
 import time
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
-from .rings import ConfigError, DivisibilityError, specialize_Q_zero
+from .rings import ConfigError, specialize_Q_zero
 from .weylc import _alpha_range, enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
@@ -140,10 +140,8 @@ def _suite_ic(n, trunc):
         yield ("evaluator-vs-closed-form-k%d" % k,
                got == ichevalley.ic2_closed(n, k), "")
         report = ichevalley.cancellation_report(n, k)
-        survivors = {(j, chain) for j, chain, _ in report["survivors"]}
-        expect = {(j, tuple(range(k, j - 1, -1))) for j in range(1, k + 1)}
         yield ("cancellation-accounting-k%d" % k,
-               report["matches_closed_form"] and survivors == expect, "")
+               report["matches_closed_form"], report["location"])
 
 
 def _suite_semimod(n, trunc):
@@ -152,36 +150,8 @@ def _suite_semimod(n, trunc):
     yield from semimod.check_duality(n, trunc)
 
 
-def _derivation(cid, check):
-    # a Demazure step whose output the divisor does not divide fails
-    try:
-        return (cid, check(), "")
-    except DivisibilityError as exc:
-        return (cid, False, str(exc))
-
-
 def _suite_relations(n, trunc):
-    yield ("base-rewrite-audit", relations.audit_base_rewrite(n), "")
-    if n >= 2:
-        yield _derivation("secondary-derivation", lambda: (
-            relations.derive_secondary(relations.base_relation(n))
-            == relations.secondary_literal(n)))
-    for k in range(2, n):
-        yield _derivation("chain-vs-nested-sum-k%d" % k, lambda: (
-            relations.chain_relation(n, k)
-            == relations.system_arbitrary(n, k)))
-    try:
-        relations.assemble_system(n, audit=True)
-        record = ("system-rows-audit", True, "")
-    except (ConfigError, DivisibilityError) as exc:
-        record = ("system-rows-audit", False, str(exc))
-    yield record
-    sol = relations.solve_system(n)
-    expect = tuple(relations.elementary_E(n, l) for l in range(n + 1))
-    yield ("solution-is-elementary", sol == expect, "")
-    rows = relations.assemble_system(n)
-    yield ("rows-annihilate-elementary",
-           all(row.evaluate(expect).is_zero() for row in rows), "")
+    yield from relations.check_system(n)
     yield from relations.check_csym_props(min(n, 4))
     yield from relations.check_generating_identities(n)
 

@@ -101,11 +101,6 @@ class SignedPerm:
     def __hash__(self):
         return hash(self.window)
 
-    def __lt__(self, other):
-        ks = [order_key(self.n, x) for x in self.window]
-        ko = [order_key(other.n, x) for x in other.window]
-        return ks < ko
-
     def render(self):
         return "[%s]" % ",".join(str(x) for x in self.window)
 

@@ -5,9 +5,9 @@ import threading
 import jsonschema
 import pytest
 
-from qkc import qbg, qkpres, relations, rings, semimod, verify
+from qkc import ichevalley, qbg, qkpres, relations, rings, semimod, verify
 from qkc.cli import main
-from qkc.rings import GroupRingElement
+from qkc.rings import GroupRingElement, QExtElement
 from qkc.verify import SUITES, run_suite
 from qkc.weylc import _eps, pairing
 
@@ -202,12 +202,15 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
     assert {key: _snapshot(v) for key, v in handed_out.items()} == before
 
 
-def _failing_relations_checks(capsys):
-    code, out = run(capsys, "verify", "--n", "3", "--suite", "relations",
-                    "--json")
+def _failing_checks(capsys, *argv):
+    code, out = run(capsys, "verify", *argv, "--json")
     [report] = json.loads(out)["reports"]
     return code, {rec["id"]: rec.get("location", "")
                   for rec in report["checks"] if rec["status"] == "fail"}
+
+
+def _failing_relations_checks(capsys):
+    return _failing_checks(capsys, "--n", "3", "--suite", "relations")
 
 
 def test_broken_elementary_E_fails_gf2_and_the_solution(monkeypatch, capsys):
@@ -243,6 +246,71 @@ def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
     assert set(failing) == {"secondary-derivation", "chain-vs-nested-sum-k2",
                             "system-rows-audit"}
     assert failing["secondary-derivation"].startswith("not divisible")
+
+
+def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
+    original = ichevalley._chain_blocks
+
+    def chain_blocks(w, m, j, barred):
+        q = QExtElement.monomial(w.n, (0,) * w.n, qexp=1)
+        for chain, alist, block in original(w, m, j, barred):
+            if not barred and len(chain) == 3:
+                block = block.scale(q)
+            yield chain, alist, block
+
+    monkeypatch.setattr(ichevalley, "_chain_blocks", chain_blocks)
+    code, failing = _failing_checks(capsys, "--n", "3", "--suite", "ic")
+    assert code == 1
+    assert failing["cancellation-accounting-k1"].startswith(
+        "paired terms do not cancel")
+
+
+def _double_the_pivots(monkeypatch):
+    original = relations.system_row
+
+    def system_row(n, k):
+        coeffs = list(original(n, k).coeffs)
+        coeffs[n - k] = coeffs[n - k] + coeffs[n - k]
+        return relations.RelationVector(n, coeffs)
+
+    monkeypatch.setattr(relations, "system_row", system_row)
+
+
+def test_non_unit_pivot_fails_the_solution(monkeypatch, capsys):
+    _double_the_pivots(monkeypatch)
+    code, failing = _failing_relations_checks(capsys)
+    assert code == 1
+    assert failing["solution-is-elementary"] \
+        == "leading coefficient of row 2 is not a unit"
+
+
+def test_solve_system_reports_a_non_unit_pivot(monkeypatch, capsys):
+    _double_the_pivots(monkeypatch)
+    code, out = run(capsys, "solve-system", "--n", "3")
+    assert code == 1
+    assert out.startswith("FAIL") and "row 2" in out
+    code, out = run(capsys, "solve-system", "--n", "3", "--json")
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
+
+
+@pytest.mark.parametrize("doubled", [{0}, {0, 1, 2}],
+                         ids=["k0", "every-k"])
+def test_wrong_P0_fails_the_first_staircase_step(monkeypatch, capsys,
+                                                   doubled):
+    original = semimod.closed_P
+
+    def closed_P(n, k, trunc=None):
+        value = original(n, k, trunc)
+        return value + value if k in doubled else value
+
+    monkeypatch.setattr(semimod, "closed_P", closed_P)
+    code, failing = _failing_checks(capsys, "--n", "2", "--suite", "semimod")
+    assert code == 1
+    assert "rec-staircase-k0" in failing
+    if len(doubled) == 3:
+        # the recursion is linear in P, so only P[0] == 1 can see this
+        assert "rec-staircase-k1" not in failing
 
 
 def test_exact_mode_ignores_trunc(capsys):

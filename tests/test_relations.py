@@ -11,6 +11,7 @@ from qkc.relations import (
     chain_relation,
     check_csym_props,
     check_generating_identities,
+    check_system,
     complete_h,
     csym_nested_lhs,
     derive_secondary,
@@ -117,7 +118,8 @@ def test_csym_nested_equals_h_difference():
 
 def test_system_rows_audit():
     for n in range(1, 5):
-        assemble_system(n, audit=True)
+        for name, ok, location in check_system(n):
+            assert ok, (n, name, location)
 
 
 def test_rows_annihilate_elementary():
@@ -135,8 +137,7 @@ def test_solve_system_rank_one():
 
 def test_solve_system_matches_elementary():
     for n in range(1, 7):
-        audit = n <= 4
-        sol = solve_system(n, audit=audit)
+        sol = solve_system(n)
         assert sol == tuple(elementary_E(n, l) for l in range(n + 1)), n
 
 
@@ -146,7 +147,7 @@ def test_solver_rejects_non_unit_lead(monkeypatch):
     n = 1
     bad = RelationVector(n, (GroupRingElement.one(n), mono(n, (1,), 2)))
     monkeypatch.setattr(relations, "assemble_system",
-                        lambda m, audit=False: [bad])
+                        lambda m: [bad])
     with pytest.raises(SolverError):
         solve_system(n)
 
