@@ -8,6 +8,8 @@ cancellation bookkeeping that links the general evaluator to them.
 
 from __future__ import annotations
 
+import itertools
+
 from .alcove import a_filtered, admissible_subsets, gamma_seq, s_chains, theta_seq
 from .rings import ConfigError, KeyedSum, QExtElement
 from .weylc import SignedPerm, _alpha_range, _eps, coroot_sum, pairing
@@ -31,15 +33,13 @@ class SemiClassSum(KeyedSum):
             c = coeff
         else:
             c = QExtElement.monomial(n, (0,) * n, coeff=coeff, qexp=qexp)
-        return cls(n, {(w, xi, lam): c})
+        return cls(n, [((w, xi, lam), c)])
 
     def tensor(self, mu):
         """Tensor with O(mu): lambda -> lambda + mu on every key."""
-        out = {}
-        for (w, xi, lam), v in self.terms.items():
-            key = (w, xi, tuple(a + b for a, b in zip(lam, mu)))
-            out[key] = v
-        return SemiClassSum(self.n, out)
+        return SemiClassSum(self.n, (
+            ((w, xi, tuple(a + b for a, b in zip(lam, mu))), v)
+            for (w, xi, lam), v in self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -113,11 +113,11 @@ def _chain_blocks(w, m, j, barred):
         for alist, end, down, size in _chain_tuples(w, -m, chain):
             sign = (-1) ** (size - len(chain))
             qexp = pairing(_eps(n, j), down) * (-1 if barred else 1)
-            block = SemiClassSum.zero(n)
-            for b in admissible_subsets(end, seq):
-                block = block + SemiClassSum.basis(
+            block = SemiClassSum.sum_of(n, (
+                SemiClassSum.basis(
                     b.end, coroot_sum(n, [down, b.down]), lam,
                     coeff=sign * (-1) ** b.size(), qexp=qexp)
+                for b in admissible_subsets(end, seq)))
             yield chain, alist, block
 
 
@@ -126,21 +126,16 @@ def inverse_chevalley(w, m):
     n = w.n
     if not 1 <= m <= n:
         raise ConfigError("m out of range")
-    total = SemiClassSum.zero(n)
-
     # first block: B-sum over A(w, Theta_m), twist -eps_m
-    for b in admissible_subsets(w, theta_seq(n, m)):
-        total = total + SemiClassSum.basis(
-            b.end, b.down, _eps(n, m, -1), coeff=(-1) ** b.size())
-
+    first = (SemiClassSum.basis(b.end, b.down, _eps(n, m, -1),
+                                coeff=(-1) ** b.size())
+             for b in admissible_subsets(w, theta_seq(n, m)))
     # chain blocks; barred targets only beyond m
-    for j in range(1, n + 1):
-        for barred in (True, False):
-            if barred and j <= m:
-                continue
-            for _, _, block in _chain_blocks(w, m, j, barred):
-                total = total + block
-    return total
+    blocks = (block
+              for j in range(1, n + 1)
+              for barred in (True, False) if not (barred and j <= m)
+              for _, _, block in _chain_blocks(w, m, j, barred))
+    return SemiClassSum.sum_of(n, itertools.chain(first, blocks))
 
 
 def ic_lhs(w, m):
@@ -155,14 +150,10 @@ def _staircase_block(n, k, top):
     """q times the sum over j <= k of
     [O(s_1..s_{j-1} t_xi)(eps_j)] - [O(s_1..s_j t_xi)(eps_j)],
     xi = alpha_j^vee + ... + alpha_top^vee."""
-    total = SemiClassSum.zero(n)
-    for j in range(1, k + 1):
-        xi = _alpha_range(n, j, top)
-        total = total + SemiClassSum.basis(
-            staircase(n, j - 1), xi, _eps(n, j), qexp=1)
-        total = total - SemiClassSum.basis(
-            staircase(n, j), xi, _eps(n, j), qexp=1)
-    return total
+    return SemiClassSum.sum_of(n, (
+        SemiClassSum.basis(staircase(n, j - 1 + d), _alpha_range(n, j, top),
+                           _eps(n, j), coeff=(-1) ** d, qexp=1)
+        for j in range(1, k + 1) for d in (0, 1)))
 
 
 def ic2_closed(n, k):
@@ -286,6 +277,6 @@ def derive_recurrence(lhs, rhs, twist, target):
     if unit is None or unit[0] != (0,) * n or unit[1] not in (1, -1):
         raise ConfigError("target coefficient is not a unit")
     rest = SemiClassSum(
-        n, {k: v for k, v in combined.terms.items() if k != target})
+        n, ((k, v) for k, v in combined.terms.items() if k != target))
     sign = -unit[1]
     return target, rest.scale(sign)

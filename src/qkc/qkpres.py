@@ -103,23 +103,20 @@ def check_coefficient_factorization(n, trunc=None):
 def f_poly(n, l, variant="full", k=None, trunc=None):
     """F_l (or its upper/barred variant): the zeta-weighted sum of
     z-monomials over index sets of size l."""
-    pool = _variant_pool(n, variant, k)
-    out = ZLaurentElement.zero(n)
-    for I in itertools.combinations(pool, l):
+    pairs = []
+    for I in itertools.combinations(_variant_pool(n, variant, k), l):
         coeff = _unit(n, trunc)
         for j in universe(n):
             coeff = coeff * zeta(n, I, j, trunc)
-        out = out + ZLaurentElement.monomial(n, eps_I(n, I), coeff)
-    return out
+        pairs.append((eps_I(n, I), coeff))
+    return ZLaurentElement(n, pairs)
 
 
 def elementary_z(n, l, trunc=None):
     """e_l(z_1, ..., z_n, z_n^{-1}, ..., z_1^{-1})."""
-    out = ZLaurentElement.zero(n)
-    for I in itertools.combinations(universe(n), l):
-        out = out + ZLaurentElement.monomial(
-            n, eps_I(n, I), _unit(n, trunc))
-    return out
+    return ZLaurentElement(n, (
+        (eps_I(n, I), _unit(n, trunc))
+        for I in itertools.combinations(universe(n), l)))
 
 
 def ideal_generators(n, trunc=None):
@@ -143,12 +140,10 @@ def schubert_poly(n, k, variant="upper", trunc=None):
         top = 2 * n - k
     else:
         raise ConfigError("unknown variant %r" % variant)
-    out = ZLaurentElement.zero(n)
-    for l in range(top + 1):
-        sign = 1 if l % 2 == 0 else -1
-        weight = GroupRingElement.monomial(n, _eps(n, 1, -l), sign)
-        out = out + f_poly(n, l, variant, k, trunc) * weight
-    return out
+    return ZLaurentElement.sum_of(n, (
+        f_poly(n, l, variant, k, trunc)
+        * GroupRingElement.monomial(n, _eps(n, 1, -l), (-1) ** l)
+        for l in range(top + 1)))
 
 
 def _t_binomial(n, j):
@@ -177,13 +172,12 @@ def to_semimod(p):
     its geometric correction factor in the shift variables."""
     n = p.n
     e = SignedPerm.identity(n)
-    out = SemiModElement.zero(n)
+    pairs = []
     for exps, c in p.sorted_terms():
         trunc = None if isinstance(c, NovikovFraction) else c.trunc
         coeff = c
         for j, a in enumerate(exps, start=1):
             if a:
                 coeff = coeff * _z_factor(n, j, a, trunc)
-        lam = tuple(-a for a in exps)
-        out = out + SemiModElement(n, {(e, lam): coeff})
-    return out
+        pairs.append(((e, tuple(-a for a in exps)), coeff))
+    return SemiModElement(n, pairs)

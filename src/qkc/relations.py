@@ -7,6 +7,10 @@ complete symmetric polynomials into a triangular recurrence system, and
 solved; the unique solution is the vector of hyperbolic elementary
 symmetric polynomials E_0..E_n.
 
+The printed relations (`secondary_literal`, `system_arbitrary`) and the
+csym-3/csym-4 lemma share one transcription of the nested sum,
+`csym_nested_lhs`; a printed coefficient is the sum times (-1)^l e^shift.
+
 `check_system` checks the chain, the rows and the solution as records: a
 failed exact division or a non-unit pivot fails a record, and ConfigError
 means only that an argument is out of range.
@@ -97,14 +101,6 @@ def audit_base_rewrite(n):
     return RelationVector(n, folded) == base_relation(n)
 
 
-def _geom(n, step, count):
-    """1 + e^step + ... + e^{(count-1) step}."""
-    out = GroupRingElement.zero(n)
-    for t in range(count):
-        out = out + _mono(n, tuple(t * s for s in step))
-    return out
-
-
 def _derivation_step(rel, k):
     """Multiply by e^{eps_k}, apply D_k, divide by e^{eps_k}(1 - e^{eps_k+eps_{k+1}})."""
     n = rel.n
@@ -121,55 +117,33 @@ def derive_secondary(rel):
     return _derivation_step(rel, 1)
 
 
+def _printed_relation(n, k, shift):
+    """Coefficient l <= n - k is (-1)^l e^shift times the nested sum in
+    e^{eps_1}, ..., e^{eps_{k+1}} at m = n - k - l; the others are zero."""
+    variables = [_mono(n, _eps(n, j)) for j in range(1, k + 2)]
+    coeffs = [GroupRingElement.zero(n)] * (n + 1)
+    for l in range(n - k + 1):
+        coeffs[l] = (csym_nested_lhs(variables, n - k - l)
+                     * _mono(n, shift, (-1) ** l))
+    return RelationVector(n, coeffs)
+
+
 def secondary_literal(n):
     """The printed second relation: coefficients
-    (-1)^l e^{-(n-l)eps_1} (sum_r e^{r(eps_1-eps_2)}) (sum_s e^{s(eps_1+eps_2)})."""
+    (-1)^l e^{-(n-l)eps_1} (sum_r e^{r(eps_1-eps_2)}) (sum_s e^{s(eps_1+eps_2)}),
+    r, s < n - l; the nested sum in two variables shifted by e^{-eps_1}."""
     if n < 2:
         raise ConfigError("rank must be at least 2")
-    coeffs = []
-    up = tuple(a + b for a, b in zip(_eps(n, 1), _eps(n, 2)))
-    down = tuple(a - b for a, b in zip(_eps(n, 1), _eps(n, 2)))
-    for l in range(n):
-        c = (_mono(n, _eps(n, 1, -(n - l)))
-             * _geom(n, down, n - l) * _geom(n, up, n - l))
-        coeffs.append(c if l % 2 == 0 else -c)
-    coeffs.append(GroupRingElement.zero(n))
-    return RelationVector(n, coeffs)
+    return _printed_relation(n, 1, _eps(n, 1, -1))
 
 
 def system_arbitrary(n, k):
-    """The k-th derived relation (2 <= k <= n-1) as a literal nested sum."""
+    """The k-th derived relation (2 <= k <= n-1) as a literal nested sum
+    in k + 1 variables, shifted by e^{(n-1)eps_1 - eps_2 - ... - eps_k}."""
     if not 2 <= k <= n - 1:
         raise ConfigError("need 2 <= k <= n - 1")
-    up = tuple(a + b for a, b in zip(_eps(n, k), _eps(n, k + 1)))
-    down = tuple(a - b for a, b in zip(_eps(n, k), _eps(n, k + 1)))
-    coeffs = [GroupRingElement.zero(n)] * (n + 1)
-    for l in range(0, n - k + 1):
-        total = GroupRingElement.zero(n)
-
-        def walk(t, r_prev, exps):
-            nonlocal total
-            if t == k:
-                e = list(exps)
-                e[k - 1] = -r_prev
-                total = total + (_mono(n, tuple(e))
-                                 * _geom(n, down, r_prev)
-                                 * _geom(n, up, r_prev))
-                return
-            lo = k - t
-            hi = (n - l - 1) if t == 1 else (r_prev - 1)
-            for r in range(lo, hi + 1):
-                for s in range(0, hi - r + 1):
-                    e = list(exps)
-                    if t == 1:
-                        e[0] = l + r + 2 * s
-                    else:
-                        e[t - 1] = -r_prev + r + 2 * s
-                    walk(t + 1, r, e)
-
-        walk(1, None, [0] * n)
-        coeffs[l] = total if l % 2 == 0 else -total
-    return RelationVector(n, coeffs)
+    shift = (n - 1,) + (-1,) * (k - 1) + (0,) * (n - k)
+    return _printed_relation(n, k, shift)
 
 
 def induction_step(prev, k):
@@ -244,47 +218,39 @@ def elementary_E(n, l):
 
 def csym_nested_lhs(variables, m):
     """The literal nested-sum side of the complete-symmetric identity in
-    nv >= 3 variables; equals h_m - h_{m-2} over the hyperbolic list."""
+    nv >= 2 variables x_1..x_nv; equals h_m - h_{m-2} over the hyperbolic
+    list.  For nv = 2 it is
+    x_1^{-m} (sum_{c<=m} (x_1/x_2)^c) (sum_{c<=m} (x_1 x_2)^c)."""
     nv = len(variables)
-    if nv < 3:
-        raise ConfigError("need at least 3 variables")
+    if nv < 2:
+        raise ConfigError("need at least 2 variables")
     n = variables[0].n
-
-    def invert(x):
-        exps, c = x.monomial_or_none()
-        return GroupRingElement.monomial(n, tuple(-a for a in exps), c)
 
     def power(x, e):
         if e >= 0:
             return x ** e
-        return invert(x) ** (-e)
+        exps, c = x.monomial_or_none()
+        return GroupRingElement.monomial(n, tuple(-a for a in exps), c) ** -e
 
     total = GroupRingElement.zero(n)
+    x, y = variables[nv - 2], variables[nv - 1]
 
     def walk(t, r_prev, acc):
         nonlocal total
         if t == nv - 1:
-            acc = acc * power(variables[nv - 2], -r_prev + 1)
-            inner_down = GroupRingElement.zero(n)
-            inner_up = GroupRingElement.zero(n)
+            down = up = GroupRingElement.zero(n)
             for c in range(r_prev):
-                inner_down = inner_down + power(variables[nv - 2], c) \
-                    * power(variables[nv - 1], -c)
-                inner_up = inner_up + power(variables[nv - 2], c) \
-                    * power(variables[nv - 1], c)
-            total = total + acc * inner_down * inner_up
+                xc = power(x, c)
+                down = down + xc * power(y, -c)
+                up = up + xc * power(y, c)
+            total = total + acc * power(x, 1 - r_prev) * down * up
             return
-        lo = nv - 1 - t
-        hi = (m + nv - 2) if t == 1 else (r_prev - 1)
-        for r in range(lo, hi + 1):
-            for s in range(0, hi - r + 1):
-                if t == 1:
-                    step = power(variables[0], -(m + nv - 2) + r + 2 * s)
-                else:
-                    step = power(variables[t - 1], -r_prev + r + 2 * s + 1)
+        for r in range(nv - 1 - t, r_prev):
+            for s in range(r_prev - r):
+                step = power(variables[t - 1], -r_prev + r + 2 * s + 1)
                 walk(t + 1, r, acc * step)
 
-    walk(1, None, GroupRingElement.one(n))
+    walk(1, m + nv - 1, GroupRingElement.one(n))
     return total
 
 
@@ -302,20 +268,15 @@ def check_csym_props(n_max=4, m_max=6):
         pair = [x1, _mono(n, (-1,))]
         ok = lhs == h_poly(pair, m) - h_poly(pair, m - 2)
         yield ("csym-2-m%d" % m, ok, "")
-    for m in range(1, m_max + 1):
-        n = 2
-        hv = _hyperbolic_vars(n, 2)
-        lhs = (_mono(n, (-m, 0))
-               * _geom(n, (1, -1), m + 1) * _geom(n, (1, 1), m + 1))
-        ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
-        yield ("csym-3-m%d" % m, ok, "")
-    for nv in range(3, n_max + 1):
+    # csym-3: the nested sum in two variables (any n_max); csym-4: more
+    for nv in range(2, max(n_max, 2) + 1):
         variables = [_mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
         hv = _hyperbolic_vars(nv, nv)
         for m in range(1, m_max + 1):
             lhs = csym_nested_lhs(variables, m)
             ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
-            yield ("csym-4-n%d-m%d" % (nv, m), ok, "")
+            cid = "csym-3-m%d" % m if nv == 2 else "csym-4-n%d-m%d" % (nv, m)
+            yield (cid, ok, "")
     for n in range(1, n_max + 1):
         for l in range(1, n + 1):
             ok = elementary_E(n, n + l) == elementary_E(n, n - l)

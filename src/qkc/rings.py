@@ -30,9 +30,10 @@ reduced to lowest terms: the checks only compare them, which needs no
 polynomial gcd, so a fraction prints its numerator as it was computed.
 
 KeyedSum is a finite sum over hashable basis keys with Poly or
-NovikovFraction coefficients.  ZLaurentElement (keys: exponent vectors of
-z_1..z_n), semimod.SemiModElement and ichevalley.SemiClassSum add only
-their keys' printed form and their own products.
+NovikovFraction coefficients, built from (key, coefficient) pairs in one
+pass.  ZLaurentElement (keys: exponent vectors of z_1..z_n),
+semimod.SemiModElement and ichevalley.SemiClassSum add only their keys'
+printed form and their own products.
 
 Values are immutable and may be shared between callers: every operation
 returns a new value, and no code mutates `.terms` (or a fraction's
@@ -44,6 +45,7 @@ tuple and handed out to every caller.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import add
 
 
@@ -412,10 +414,6 @@ class NovikovFraction:
             raise ConfigError("bad denominator multiplicities")
 
     @classmethod
-    def from_series(cls, s):
-        return cls(s.n, s)
-
-    @classmethod
     def one(cls, n):
         return _fraction_one(n)
 
@@ -539,13 +537,24 @@ class KeyedSum:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, pairs=()):
+        """The sum of the (key, coefficient) pairs: equal keys add up in
+        one pass, and zero sums are dropped once at the end."""
         self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+        terms = {}
+        for k, v in pairs:
+            s = terms.get(k)
+            terms[k] = v if s is None else s + v
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     @classmethod
     def zero(cls, n):
         return cls(n)
+
+    @classmethod
+    def sum_of(cls, n, parts):
+        """The sum of the rank-n sums in parts, built in one pass."""
+        return cls(n, chain.from_iterable(p.terms.items() for p in parts))
 
     def is_zero(self):
         return not self.terms
@@ -553,24 +562,21 @@ class KeyedSum:
     def __add__(self, other):
         if self.n != other.n:
             raise ConfigError("rank mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return type(self)(self.n, out)
+        return type(self)(
+            self.n, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -v for k, v in self.terms.items()})
+        return type(self)(self.n, ((k, -v) for k, v in self.terms.items()))
 
     def scale(self, c):
         """Multiply every coefficient by a ring element c."""
-        return type(self)(self.n, {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.n, ((k, v * c) for k, v in self.terms.items()))
 
     def map_coefficients(self, fn):
-        return type(self)(self.n, {k: fn(v) for k, v in self.terms.items()})
+        return type(self)(self.n, ((k, fn(v)) for k, v in self.terms.items()))
 
     def __eq__(self, other):
         # A fraction coefficient can equal zero only if its numerator is
@@ -596,25 +602,21 @@ class ZLaurentElement(KeyedSum):
 
     @classmethod
     def monomial(cls, n, exps, coeff):
-        return cls(n, {tuple(exps): coeff})
+        return cls(n, [(tuple(exps), coeff)])
 
     @classmethod
     def constant(cls, n, coeff):
-        return cls(n, {(0,) * n: coeff})
+        return cls(n, [((0,) * n, coeff)])
 
     def __mul__(self, other):
         if not isinstance(other, ZLaurentElement):
             return self.scale(other)
         if self.n != other.n:
             raise ConfigError("rank mismatch")
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(map(add, ka, kb))
-                prod = va * vb
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
-        return ZLaurentElement(self.n, out)
+        return ZLaurentElement(self.n, (
+            (tuple(map(add, ka, kb)), va * vb)
+            for ka, va in self.terms.items()
+            for kb, vb in other.terms.items()))
 
     __rmul__ = __mul__
 

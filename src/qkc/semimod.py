@@ -159,17 +159,16 @@ class SemiModElement(KeyedSum):
         lam = tuple(lam) if lam is not None else (0,) * n
         if coeff is None:
             coeff = NovikovSeries.one(n, trunc)
-        return cls(n, {(w, lam): coeff})
+        return cls(n, [((w, lam), coeff)])
 
     @classmethod
     def one(cls, n, trunc=None):
         return cls.basis(SignedPerm.identity(n), trunc=trunc)
 
     def tensor(self, mu):
-        out = {}
-        for (w, lam), v in self.terms.items():
-            out[(w, tuple(a + b for a, b in zip(lam, mu)))] = v
-        return SemiModElement(self.n, out)
+        return SemiModElement(self.n, (
+            ((w, tuple(a + b for a, b in zip(lam, mu))), v)
+            for (w, lam), v in self.terms.items()))
 
     def shift(self, xi):
         """Apply T^xi (xi in alpha^vee coordinates)."""
@@ -230,23 +229,19 @@ def _variant_pool(n, variant, k):
 def ff(n, l, variant="full", k=None, trunc=None):
     """FF_l: the psi-weighted sum of translation classes over the index
     sets of size l in the chosen variant's universe."""
-    total = SemiModElement.zero(n)
     e = SignedPerm.identity(n)
-    for I in itertools.combinations(_variant_pool(n, variant, k), l):
-        coeff = psi_product(n, frozenset(I), trunc)
-        lam = tuple(-x for x in _eps_I(n, I))
-        total = total + SemiModElement(n, {(e, lam): coeff})
-    return total
+    return SemiModElement(n, (
+        ((e, tuple(-x for x in _eps_I(n, I))),
+         psi_product(n, frozenset(I), trunc))
+        for I in itertools.combinations(_variant_pool(n, variant, k), l)))
 
 
 def _alternating_sum(n, top, variant, k, trunc):
     """sum over l <= top of (-1)^l e^{l eps_1} FF_l in the given variant."""
-    total = SemiModElement.zero(n)
-    for l in range(0, top + 1):
-        term = ff(n, l, variant, k, trunc).scale(
-            GroupRingElement.monomial(n, _eps(n, 1, l)))
-        total = total + term if l % 2 == 0 else total - term
-    return total
+    return SemiModElement.sum_of(n, (
+        ff(n, l, variant, k, trunc).scale(
+            GroupRingElement.monomial(n, _eps(n, 1, l), (-1) ** l))
+        for l in range(top + 1)))
 
 
 def closed_P(n, k, trunc=None):

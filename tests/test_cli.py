@@ -248,6 +248,24 @@ def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
     assert failing["secondary-derivation"].startswith("not divisible")
 
 
+def test_dropped_nested_sum_term_fails_every_reader(monkeypatch, capsys):
+    original = relations.csym_nested_lhs
+
+    def csym_nested_lhs(variables, m):
+        value = original(variables, m)
+        key, c = min(value.terms.items())
+        return value - GroupRingElement.monomial(value.n, key, c)
+
+    monkeypatch.setattr(relations, "csym_nested_lhs", csym_nested_lhs)
+    code, failing = _failing_checks(capsys, "--n", "4", "--suite", "relations")
+    assert code == 1
+    # the printed relations and both csym lemmas read the one walker
+    assert {"secondary-derivation", "chain-vs-nested-sum-k2",
+            "system-rows-audit", "csym-3-m1"} <= set(failing)
+    assert any(cid.startswith("csym-4-") for cid in failing)
+    assert not any(cid.startswith("gf-") for cid in failing)
+
+
 def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
     original = ichevalley._chain_blocks
 

@@ -36,7 +36,7 @@ def q_mono(n, a, b):
 
 
 def frac(s):
-    return NovikovFraction.from_series(s)
+    return NovikovFraction(s.n, s)
 
 
 def test_zeta_table_example():

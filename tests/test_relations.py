@@ -25,6 +25,7 @@ from qkc.relations import (
     system_row,
 )
 from qkc.rings import ConfigError, GroupRingElement, Poly
+from qkc.weylc import _eps
 
 
 def mono(n, exps, coeff=1):
@@ -114,6 +115,18 @@ def test_csym_nested_equals_h_difference():
     for m in range(1, 5):
         assert csym_nested_lhs(variables, m) == \
             h_poly(hv, m) - h_poly(hv, m - 2)
+
+
+def test_nested_sum_covers_two_to_five_variables():
+    # two variables are the csym-3 side and the printed k = 1 relation
+    for nv in range(2, 6):
+        variables = [mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
+        hv = relations._hyperbolic_vars(nv, nv)
+        for m in range(7):
+            assert csym_nested_lhs(variables, m) == \
+                h_poly(hv, m) - h_poly(hv, m - 2), (nv, m)
+    with pytest.raises(ConfigError):
+        csym_nested_lhs([mono(1, (1,))], 2)
 
 
 def test_system_rows_audit():

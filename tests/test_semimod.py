@@ -138,7 +138,7 @@ def test_phi_theta_factorization_of_psi():
         for j in universe(n):
             p = psi(n, I, j)
             th = theta_sinf(n, I, j)
-            assert phi(n, I, j) * th == NovikovFraction.from_series(p)
+            assert phi(n, I, j) * th == NovikovFraction(p.n, p)
             lhs = phi(n, I, j, trunc=5) * th.with_trunc(5)
             assert lhs == p.with_trunc(5)
 
@@ -150,7 +150,7 @@ def test_ff_rank_one():
     expect = SemiModElement(n, {
         (e, (-1,)): one,
         (e, (1,)): one - t_mono(n, 1, 1),
-    })
+    }.items())
     assert ff(n, 1) == expect
     assert ff(n, 0) == SemiModElement.one(n)
     assert ff(n, 2) == ff(n, 0)  # the symmetry FF_k = FF_{2n-k}
@@ -227,11 +227,11 @@ def test_demazure_module():
     n = 2
     e = SignedPerm.identity(n)
     coeff = NovikovSeries.constant(n, QExtElement.monomial(n, (0, 1)))
-    z = SemiModElement(n, {(e, (0, 0)): coeff})
+    z = SemiModElement(n, {(e, (0, 0)): coeff}.items())
     image = demazure_module(1, z)
     expect_c = NovikovSeries.constant(
         n, QExtElement.monomial(n, (0, 1)) + QExtElement.monomial(n, (1, 0)))
-    assert image == SemiModElement(n, {(e, (0, 0)): expect_c})
+    assert image == SemiModElement(n, {(e, (0, 0)): expect_c}.items())
     bad = SemiModElement.basis(SignedPerm.simple(n, 1))
     with pytest.raises(UnsupportedOperandError):
         demazure_module(1, bad)
