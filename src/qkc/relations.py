@@ -173,7 +173,7 @@ def _h_row(variables, m):
     row = [GroupRingElement.one(n)] + [GroupRingElement.zero(n)] * m
     for x in variables:
         for deg in range(1, m + 1):
-            row[deg] = row[deg] + x * row[deg - 1]
+            row[deg] = row[deg].add_shifted(x, row[deg - 1])
     return row
 
 
@@ -194,7 +194,7 @@ def e_poly(variables, m, n=None):
     for x in variables:
         # descending, so each variable enters a product at most once
         for deg in range(m, 0, -1):
-            row[deg] = row[deg] + x * row[deg - 1]
+            row[deg] = row[deg].add_shifted(x, row[deg - 1])
     return row[m]
 
 
@@ -308,7 +308,11 @@ def assemble_system(n):
 
 def solve_system(n):
     """Solve the triangular system with X_0 = 1, from k = n-1 down to 0."""
-    rows = assemble_system(n)
+    return _solve_rows(n, assemble_system(n))
+
+
+def _solve_rows(n, rows):
+    """Solve the n rows of a triangular system with X_0 = 1."""
     values = [GroupRingElement.one(n)] + [None] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
@@ -356,19 +360,19 @@ def check_system(n):
     faults += ["row %d" % k for k in range(n) if rows[k] != expect[k]]
     yield ("system-rows-audit", not faults, faults[0] if faults else "")
     values = tuple(elementary_E(n, l) for l in range(n + 1))
-    yield _record("solution-is-elementary", lambda: solve_system(n) == values)
+    yield _record("solution-is-elementary",
+                  lambda: _solve_rows(n, rows) == values)
     yield ("rows-annihilate-elementary",
            all(row.evaluate(values).is_zero() for row in rows), "")
 
 
 def _t_linear(a, x, bound):
     """a(t) * (1 + x t), truncated at t-degree bound, for a one-term x:
-    out[i] = a[i] + x * a[i-1], so each ring product has a one-term
-    operand."""
+    out[i] = a[i] + x * a[i-1], one fused shift-add per coefficient."""
     size = min(len(a) + 1, bound + 1)
     out = list(a[:size]) + [GroupRingElement.zero(x.n)] * (size - len(a))
     for i in range(1, size):
-        out[i] = out[i] + x * a[i - 1]
+        out[i] = out[i].add_shifted(x, a[i - 1])
     return out
 
 

@@ -1,12 +1,20 @@
 """Exact arithmetic kernel.
 
-All integer-coefficient arithmetic lives in `Poly`: a sparse map from flat
-int-tuple exponent keys to nonzero integers, multiplied term by term
-(the flat exponent-vector representation of Monagan & Pearce, "Sparse
-polynomial multiplication and division in Maple 14", 2009).  Three
-subclasses fix the key layout, the constructors and the printed form;
-they have no arithmetic of their own.  Each key holds only the blocks
-its ring uses:
+All integer-coefficient arithmetic lives in `Poly`: a sparse map from
+exponent keys to nonzero integers, multiplied term by term.  A key is
+one packed int (Kronecker substitution, as in Monagan & Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009, and
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): the exponent tuple (e_1, ..., e_L) is stored as
+e_1 S^{L-1} + ... + e_L, with a slot base S of about 2^32 and signed
+slots, so multiplying two monomials adds their keys.  Besides the ring
+operations, `a.add_shifted(x, b)` is a + x*b for a one-term x, fused
+into one pass over b's terms: the step of a recurrence such as
+h_d += x h_{d-1} then builds no shifted copy to merge.
+
+Three subclasses fix the layout, the constructors and the printed form;
+they have no arithmetic of their own.  In the order of the exponent
+tuple, most significant slot first:
 
 * GroupRingElement -- the group ring Z[P] = Z[e^{+-eps_1}, ..., e^{+-eps_n}],
   keys (w_1..w_n), the exponent vector in the eps-basis.
@@ -15,13 +23,23 @@ its ring uses:
   shift variables T_1..T_n) over Z[q^{+-1}][P], keys
   (deg, x_1..x_n, q, w_1..w_n) with deg = x_1 + ... + x_n.  The series is
   truncated at total degree `trunc`, or kept as an exact polynomial
-  (trunc=None).  With deg in front, a product term is dropped when
-  ka[0] + kb[0] > trunc; deg never decides the printed order.
+  (trunc=None).  With deg in the top slot, a product term is dropped by
+  one compare, ka + kb >= cut; deg never decides the printed order.
 
-Each layout is the next one with its leading slots removed, so an
-operation on two layouts pads the narrower keys on the left with zeros
-and returns the wider layout.  Values that are equal compare equal, and
-hash equal, whatever their layout; an int is a constant of any layout.
+The weight slots are the low slots of every layout, then q, then the
+series slots, so a key of a narrower layout is already the same int in
+a wider one: mixing layouts needs no conversion, and values that are
+equal compare equal, and hash equal, whatever their layout.  An int is
+a constant of any layout.
+
+Every exponent, deg included, lies in [-MAX_EXPONENT, MAX_EXPONENT].
+Each value carries a bound on its exponents, so an operation checks once,
+not per term, that the keys it adds cannot leave that range, and raises
+ConfigError where they could: a key never wraps into its neighbour slot.
+
+The packed map is private to this module.  `.terms` is a decoded copy
+with the exponent tuples above as keys, `sorted_terms` lists the terms in
+the order of those tuples, and constructors take tuple-keyed dicts.
 
 NovikovFraction is the denominator-cleared exact mode: an exact
 NovikovSeries numerator together with multiplicities of (1 - x_j) factors
@@ -36,7 +54,7 @@ semimod.SemiModElement and ichevalley.SemiClassSum add only their keys'
 printed form and their own products.
 
 Values are immutable and may be shared between callers: every operation
-returns a new value, and no code mutates `.terms` (or a fraction's
+returns a new value, and no code mutates a term map (or a fraction's
 numerator and denominator) in place.  The units, `geometric_inverse`
 and the fraction denominators are therefore built once per argument
 tuple and handed out to every caller.
@@ -48,51 +66,145 @@ from functools import lru_cache
 from itertools import chain
 from operator import add
 
+# A slot holds a balanced digit -M..M, M = MAX_EXPONENT = (S - 1) / 2,
+# for the odd slot base S = _BASE.  S is not a power of two: Python
+# hashes an int as its residue mod 2^61 - 1 and a dict indexes by the
+# low bits of that hash, which for S = 2^32 depend on few slots.  On the
+# term maps of `verify --n 5`, such keys fill about a tenth of the dict
+# cells that random hashes fill; with S = 2^32 - 17 they fill as many.
+_BASE = (1 << 32) - 17
+MAX_EXPONENT = (_BASE - 1) // 2
+
 
 class ConfigError(ValueError):
-    """Operands disagree on rank or truncation degree."""
+    """Operands disagree on rank or truncation degree, or an exponent
+    leaves the key range."""
 
 
 class DivisibilityError(ArithmeticError):
     """exact_div was asked for a quotient that does not exist."""
 
 
-def _lead(level, n):
-    """Number of key slots in front of the weight block of a layout."""
-    return (0, 1, n + 2)[level]
+def _slots(level, n):
+    """Number of key slots of a layout."""
+    return (n, n + 1, 2 * n + 2)[level]
 
 
-def _lift(value, level, n):
-    """The terms of an int or Poly padded on the left to a wider layout."""
-    if isinstance(value, int):
-        return {(0,) * (_lead(level, n) + n): value} if value else {}
-    if not isinstance(value, Poly) or value._level > level:
-        raise ConfigError("cannot use %r as a coefficient" % (value,))
-    pad = (0,) * (_lead(level, n) - _lead(value._level, n))
-    return {pad + k: v for k, v in value.terms.items()}
+def _encode(key):
+    k = 0
+    for e in key:
+        k = k * _BASE + e
+    return k
+
+
+def _bias(slots):
+    """The key whose every slot is MAX_EXPONENT: adding it makes every
+    digit of a key non-negative."""
+    return MAX_EXPONENT * ((_BASE ** slots - 1) // (_BASE - 1))
+
+
+def _decoder(slots):
+    """The map from a packed key to its exponent tuple of `slots` slots."""
+    bias = _bias(slots)
+    powers = [_BASE ** i for i in range(slots - 1, -1, -1)]
+
+    def decode(k):
+        u, out = k + bias, []
+        for p in powers:
+            digit, u = divmod(u, p)
+            out.append(digit - MAX_EXPONENT)
+        return tuple(out)
+
+    return decode
+
+
+def _low_part(n):
+    """The map from a packed key to the key of its n weight slots."""
+    bias, size = _bias(n), _BASE ** n
+    return lambda k: (k + bias) % size - bias
+
+
+@lru_cache(maxsize=None)
+def _cut(n, trunc):
+    """The least series key of degree trunc + 1: a key has degree <= trunc
+    iff it is below _cut, since the slots under deg add up to less than
+    half of deg's unit in absolute value.  Kept per (n, trunc), as every
+    truncated product reads it."""
+    if trunc is None:
+        return None
+    top = _BASE ** (2 * n + 1)
+    return trunc * top + (top + 1) // 2
+
+
+def _reach(value):
+    return value._reach if isinstance(value, Poly) else 0
+
+
+def _slot_ranges(p, decode):
+    """(least, greatest) exponent in each slot over p's terms."""
+    return [(min(col), max(col)) for col in zip(*map(decode, p._packed))]
+
+
+def _slot_reach(a, b):
+    """The greatest exponent, in absolute value, of a sum of a key of a
+    and one of b, for Polys of one rank whose bounds add up past the
+    range: the bound is redone slot by slot, from each operand's least
+    and greatest exponent there.  Raises ConfigError when a pair of
+    terms would put an exponent out of range."""
+    if not (a._packed and b._packed):
+        return 0
+    decode = _decoder(_slots(max(a._level, b._level), a.n))
+    reach = max(max(-la - lb, ha + hb) for (la, ha), (lb, hb) in zip(
+        _slot_ranges(a, decode), _slot_ranges(b, decode)))
+    if reach > MAX_EXPONENT:
+        raise ConfigError("exponent out of range in a product")
+    return reach
 
 
 class Poly:
-    """Sparse polynomial with integer coefficients over flat int keys.
+    """Sparse polynomial with integer coefficients over packed int keys.
 
     A subclass sets `_level` (0 group ring, 1 q-extended, 2 series); trunc
     is None except for truncated series.
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ("n", "trunc", "_packed", "_reach")
     _level = 0
 
     def __init__(self, n, terms=None, trunc=None):
-        self.n = n
-        self.trunc = trunc
-        self.terms = {k: v for k, v in (terms or {}).items()
-                      if v and (trunc is None or k[0] <= trunc)}
+        """terms: a dict from exponent tuples of this layout to ints."""
+        slots = _slots(self._level, n)
+        packed, reach = {}, 0
+        for key, v in (terms or {}).items():
+            if v:
+                if len(key) != slots:
+                    raise ConfigError("key %r does not fit the layout" % (key,))
+                reach = max(reach, *map(abs, key))
+                packed[_encode(key)] = v
+        if reach > MAX_EXPONENT:
+            raise ConfigError("exponent out of range: %d" % reach)
+        cut = _cut(n, trunc)
+        if cut is not None:
+            packed = {k: v for k, v in packed.items() if k < cut}
+        self.n, self.trunc, self._packed, self._reach = n, trunc, packed, reach
 
-    def _like(self, terms):
-        """A value of this layout and trunc over already clean terms."""
-        out = object.__new__(type(self))
-        out.n, out.trunc, out.terms = self.n, self.trunc, terms
+    @classmethod
+    def _make(cls, n, trunc, packed, reach):
+        """A value over an already clean packed map."""
+        out = object.__new__(cls)
+        out.n, out.trunc, out._packed, out._reach = n, trunc, packed, reach
         return out
+
+    def _like(self, packed, reach):
+        """A value of this layout and trunc over an already clean map."""
+        return self._make(self.n, self.trunc, packed, reach)
+
+    @property
+    def terms(self):
+        """The terms as a dict from exponent tuples to coefficients: a
+        decoded copy, so changing it leaves the value as it was."""
+        decode = _decoder(_slots(self._level, self.n))
+        return {decode(k): v for k, v in self._packed.items()}
 
     @classmethod
     def zero(cls, n):
@@ -100,29 +212,25 @@ class Poly:
 
     @classmethod
     def one(cls, n):
-        return cls(n, _lift(1, cls._level, n))
+        return cls._make(n, None, {0: 1}, 0)
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def _pair(self, other):
-        """(operand whose layout the result takes, self's terms, other's
-        terms) with both term maps in that layout; None when other is not
-        an int or a Poly."""
+        """(operand whose layout the result takes, self's packed map,
+        other's packed map); None when other is not an int or a Poly."""
         if isinstance(other, int):
-            return self, self.terms, _lift(other, self._level, self.n)
+            return self, self._packed, {0: other} if other else {}
         if not isinstance(other, Poly):
             return None
         if self.n != other.n:
             raise ConfigError("rank mismatch: %d vs %d" % (self.n, other.n))
-        if self._level == other._level:
-            if self.trunc != other.trunc:
-                raise ConfigError(
-                    "truncation mismatch: %r vs %r" % (self.trunc, other.trunc))
-            return self, self.terms, other.terms
-        if self._level > other._level:
-            return self, self.terms, _lift(other, self._level, self.n)
-        return other, _lift(self, other._level, self.n), other.terms
+        if self._level == other._level and self.trunc != other.trunc:
+            raise ConfigError(
+                "truncation mismatch: %r vs %r" % (self.trunc, other.trunc))
+        like = other if other._level > self._level else self
+        return like, self._packed, other._packed
 
     def _merge(self, other, sign):
         pair = self._pair(other)
@@ -136,7 +244,7 @@ class Poly:
                 out[k] = s
             else:
                 del out[k]
-        return like._like(out)
+        return like._like(out, max(self._reach, _reach(other)))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -147,38 +255,71 @@ class Poly:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self._packed.items()},
+                          self._reach)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._like(
-                {k: v * other for k, v in self.terms.items()} if other else {})
+            return self._like({k: v * other for k, v in self._packed.items()}
+                              if other else {}, self._reach)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         like, ta, tb = pair
-        trunc = like.trunc
+        reach = self._reach + other._reach
+        if reach > MAX_EXPONENT:
+            reach = _slot_reach(self, other)
+        cut = _cut(like.n, like.trunc)
         if len(ta) == 1:
             ta, tb = tb, ta
         if len(tb) == 1:
-            return like._like(_shift(ta, tb, trunc))
+            return like._like(_shift(ta, tb, cut), reach)
         out = {}
         get = out.get
         for ka, va in ta.items():
-            room = None if trunc is None else trunc - ka[0]
+            room = None if cut is None else cut - ka
             for kb, vb in tb.items():
-                if room is not None and kb[0] > room:
+                if room is not None and kb >= room:
                     continue
-                key = tuple(map(add, ka, kb))
+                key = ka + kb
                 out[key] = get(key, 0) + va * vb
-        return like._like({k: v for k, v in out.items() if v})
+        return like._like({k: v for k, v in out.items() if v}, reach)
 
     __rmul__ = __mul__
+
+    def add_shifted(self, x, b):
+        """self + x*b for an x of at most one term, in one pass over b's
+        terms without building x*b.  Layouts, truncation and errors are
+        those of self + x * b; an x with more terms is a ConfigError."""
+        if not isinstance(x, Poly) or len(x._packed) > 1:
+            raise ConfigError("add_shifted needs a one-term x, not %r" % (x,))
+        like, tx, tb = x._pair(b)
+        like, ta, _ = self._pair(like)
+        reach = x._reach + _reach(b)
+        if reach > MAX_EXPONENT:
+            reach = _slot_reach(x, b)
+        reach = max(self._reach, reach)
+        if not tx:
+            return like._like(ta, reach)
+        (kx, vx), = tx.items()
+        cut = _cut(like.n, like.trunc)
+        out = dict(ta)
+        get = out.get
+        for kb, vb in tb.items():
+            key = kb + kx
+            if cut is not None and key >= cut:
+                continue
+            s = get(key, 0) + vx * vb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return like._like(out, reach)
 
     def __pow__(self, m):
         if m < 0:
             raise ConfigError("negative power of a ring element")
-        out = self._like(_lift(1, self._level, self.n))
+        out = self._like({0: 1}, 0)
         base = self
         while m:
             if m & 1:
@@ -197,56 +338,60 @@ class Poly:
         return NotImplemented if pair is None else pair[1] == pair[2]
 
     def __hash__(self):
-        # Equal values hash alike across layouts, and a constant hashes
-        # like the int it equals; the weight block is common to all keys.
-        if not self.terms:
+        # Equal values have equal packed maps in every layout, and a
+        # constant hashes like the int it equals.
+        if not self._packed:
             return hash(0)
-        if len(self.terms) == 1:
-            (key, v), = self.terms.items()
-            if not any(key):
+        if len(self._packed) == 1:
+            (key, v), = self._packed.items()
+            if not key:
                 return hash(v)
-        lead = _lead(self._level, self.n)
-        return hash(frozenset((k[lead:], v) for k, v in self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(exponent tuple, coefficient) pairs in tuple order: with signed
+        slots in range, int order of packed keys is that order."""
+        decode = _decoder(_slots(self._level, self.n))
+        return [(decode(k), v) for k, v in sorted(self._packed.items())]
 
     def monomial_or_none(self):
         """Return (key, coeff) if this is a single term, else None."""
-        if len(self.terms) == 1:
-            (key, coeff), = self.terms.items()
+        if len(self._packed) == 1:
+            (key, coeff), = self.sorted_terms()
             return key, coeff
         return None
 
     def map_group_parts(self, fn):
         """Apply fn (GroupRingElement -> GroupRingElement) to the Z[P] part
         of every coefficient: to each slice of terms that agree on all key
-        slots in front of the weight block."""
-        lead = _lead(self._level, self.n)
+        slots above the weight slots."""
+        low = _low_part(self.n)
         slices = {}
-        for k, v in self.terms.items():
-            slices.setdefault(k[:lead], {})[k[lead:]] = v
-        out = {}
+        for k, v in self._packed.items():
+            w = low(k)
+            slices.setdefault(k - w, {})[w] = v
+        out, reach = {}, self._reach
         for head, part in slices.items():
-            for k, v in fn(GroupRingElement(self.n, part)).terms.items():
+            g = fn(GroupRingElement._make(self.n, None, part, self._reach))
+            reach = max(reach, g._reach)
+            for k, v in g._packed.items():
                 out[head + k] = v
-        return self._like(out)
+        return self._like(out, reach)
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
 
 
-def _shift(terms, mono, trunc):
+def _shift(terms, mono, cut):
     """terms times the one-term map mono: every key moves by the same
     exponent, so no two terms merge and none cancels."""
     (kb, vb), = mono.items()
-    if not any(kb):
+    if not kb:
         return dict(terms) if vb == 1 else {k: v * vb for k, v in terms.items()}
-    if trunc is None:
-        return {tuple(map(add, ka, kb)): va * vb for ka, va in terms.items()}
-    room = trunc - kb[0]
-    return {tuple(map(add, ka, kb)): va * vb
-            for ka, va in terms.items() if ka[0] <= room}
+    if cut is None:
+        return {ka + kb: va * vb for ka, va in terms.items()}
+    room = cut - kb
+    return {ka + kb: va * vb for ka, va in terms.items() if ka < room}
 
 
 def _render_terms(items):
@@ -320,14 +465,17 @@ class QExtElement(Poly):
 
     @classmethod
     def from_group(cls, g):
-        return cls(g.n, {(0,) + k: v for k, v in g.terms.items()})
+        return cls._make(g.n, None, g._packed, g._reach)
 
     def specialize_q_one(self):
         """Ring map q := 1 onto GroupRingElement."""
+        low = _low_part(self.n)
         out = {}
-        for k, v in self.terms.items():
-            out[k[1:]] = out.get(k[1:], 0) + v
-        return GroupRingElement(self.n, out)
+        for k, v in self._packed.items():
+            w = low(k)
+            out[w] = out.get(w, 0) + v
+        return GroupRingElement._make(
+            self.n, None, {k: v for k, v in out.items() if v}, self._reach)
 
     def render(self):
         return _render_terms([(k[0], k[1:], v) for k, v in self.sorted_terms()])
@@ -374,20 +522,33 @@ class NovikovSeries(Poly):
     def monomial(cls, n, exps, coeff=1, trunc=None):
         """x^exps times an int, GroupRingElement or QExtElement coeff."""
         exps = tuple(exps)
+        if len(exps) != n:
+            raise ConfigError("exponent vector has wrong rank")
         if any(a < 0 for a in exps):
             raise ConfigError("series exponents must be non-negative")
-        head = (sum(exps),) + exps
-        return cls(n, trunc, {head + k: v
-                              for k, v in _lift(coeff, 1, n).items()})
+        if isinstance(coeff, int):
+            coeff = QExtElement.one(n) * coeff
+        if not isinstance(coeff, Poly) or coeff._level > 1 or coeff.n != n:
+            raise ConfigError("cannot use %r as a coefficient" % (coeff,))
+        deg = sum(exps)
+        reach = max(coeff._reach, deg)
+        if reach > MAX_EXPONENT:
+            raise ConfigError("exponent out of range: %d" % reach)
+        head = _encode((deg,) + exps) * _BASE ** (n + 1)
+        packed = {head + k: v for k, v in coeff._packed.items()}
+        return cls._make(n, None, packed, reach).with_trunc(trunc)
 
     def with_trunc(self, trunc):
         """Re-truncate (or lift an exact polynomial) to the given degree."""
-        return NovikovSeries(self.n, trunc, self.terms)
+        cut = _cut(self.n, trunc)
+        packed = self._packed if cut is None else {
+            k: v for k, v in self._packed.items() if k < cut}
+        return NovikovSeries._make(self.n, trunc, packed, self._reach)
 
     def degree_zero_part(self):
-        start = self.n + 1
-        return QExtElement(
-            self.n, {k[start:]: v for k, v in self.terms.items() if not k[0]})
+        cut = _cut(self.n, 0)
+        return QExtElement._make(self.n, None, {
+            k: v for k, v in self._packed.items() if k < cut}, self._reach)
 
     def render(self, var="Q"):
         n = self.n
@@ -703,7 +864,8 @@ def specialize_Q_zero(f):
     part."""
     def at_zero(c):
         s = c.num if isinstance(c, NovikovFraction) else c
-        return NovikovSeries(
-            s.n, s.trunc, {k: v for k, v in s.terms.items() if not k[0]})
+        cut = _cut(s.n, 0)
+        return s._like({k: v for k, v in s._packed.items() if k < cut},
+                       s._reach)
 
     return f.map_coefficients(at_zero)

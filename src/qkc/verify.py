@@ -4,8 +4,9 @@ Each suite re-checks one layer of the construction at a chosen rank.  A
 suite runner is a generator of (id, ok, location) check records, and
 `run_suite` times each record from the end of the previous one, so work
 shared by several checks is charged to the first check that uses it.
-Every check runs in order on the calling thread, so profilers see all of
-the work.
+It also times the whole suite, which `--timings` prints as a total line
+(a sum of the rounded per-check lines would read high).  Every check
+runs in order on the calling thread, so profilers see all of the work.
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
 
 
 class VerificationReport:
-    """Outcome of one suite: ordered check records plus run parameters."""
+    """Outcome of one suite: ordered check records plus run parameters,
+    and the suite's measured wall time in seconds."""
 
-    __slots__ = ("suite", "n", "trunc", "mode", "checks")
+    __slots__ = ("suite", "n", "trunc", "mode", "checks", "seconds")
 
-    def __init__(self, suite, n, trunc, mode, checks):
+    def __init__(self, suite, n, trunc, mode, checks, seconds):
         self.suite = suite
         self.n = n
         self.trunc = trunc
         self.mode = mode
         self.checks = list(checks)  # (id, ok, location, seconds)
+        self.seconds = seconds
 
     @property
     def ok(self):
@@ -63,6 +66,8 @@ class VerificationReport:
             if timings:
                 line += "  (%.3fs)" % seconds
             lines.append(line)
+        if timings:
+            lines.append("  total  (%.3fs)" % self.seconds)
         return "\n".join(lines)
 
 
@@ -216,12 +221,13 @@ def run_suite(suite, n, mode="truncated", trunc=None):
     elif trunc is None:
         trunc = 2 * n + 2
     checks = []
-    start = time.monotonic()
+    begin = start = time.monotonic()
     for cid, ok, location in _RUNNERS[suite](n, trunc):
         now = time.monotonic()
         checks.append((cid, ok, location, now - start))
         start = now
-    return VerificationReport(suite, n, trunc, mode, checks)
+    return VerificationReport(suite, n, trunc, mode, checks,
+                              time.monotonic() - begin)
 
 
 def run_suites(suites, n, mode="truncated", trunc=None):

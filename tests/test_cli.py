@@ -70,6 +70,30 @@ def test_timings_are_measured_not_split(monkeypatch):
     assert sum(seconds.values()) == clock[0] - 100.0
 
 
+def test_text_timings_print_one_measured_total_per_suite(monkeypatch, capsys):
+    clock = [100.0]
+
+    def tick():  # every reading of the clock is a quarter second later
+        clock[0] += 0.25
+        return clock[0]
+
+    monkeypatch.setattr(verify.time, "monotonic", tick)
+    code, out = run(capsys, "verify", "--n", "2", "--suite",
+                    "alcove,relations", "--timings")
+    assert code == 0
+    blocks = [b.splitlines() for b in out.split("suite ")[1:]]
+    assert len(blocks) == 2
+    for lines in blocks:
+        checks = [l for l in lines if l.startswith(("  PASS", "  FAIL"))]
+        assert all(l.endswith("  (0.250s)") for l in checks)
+        # the suite's own start and end readings, not a sum of the lines
+        total = "  total  (%.3fs)" % (0.25 * (len(checks) + 1))
+        assert [l for l in lines if "total" in l] == [total]
+        assert lines.index(total) == len(checks) + 1
+    _, plain = run(capsys, "verify", "--n", "2", "--suite", "alcove,relations")
+    assert "total" not in plain
+
+
 def test_verify_output_is_byte_identical(capsys):
     _, first = run(capsys, "verify", "--n", "2", "--json")
     _, second = run(capsys, "verify", "--n", "2", "--json")

@@ -250,16 +250,24 @@ def test_gf_products_match_dense_products():
 
 
 def test_generating_identities_make_no_dense_products(monkeypatch):
-    # every ring product is a one-term operand times anything
-    sizes = []
-    original = Poly.__mul__
+    # every ring product is a one-term operand times anything, and the
+    # linear factors go through the fused shift-add
+    sizes, shifts = [], []
+    original_mul, original_shifted = Poly.__mul__, Poly.add_shifted
 
     def counting(self, other):
         right = 1 if isinstance(other, int) else len(other.terms)
         sizes.append(min(len(self.terms), right))
-        return original(self, other)
+        return original_mul(self, other)
+
+    def counting_shifted(self, x, b):
+        shifts.append(len(x.terms))
+        sizes.append(min(len(x.terms), len(b.terms)))
+        return original_shifted(self, x, b)
 
     monkeypatch.setattr(Poly, "__mul__", counting)
     monkeypatch.setattr(Poly, "__rmul__", counting)
+    monkeypatch.setattr(Poly, "add_shifted", counting_shifted)
     assert all(ok for _, ok, _ in check_generating_identities(4))
+    assert shifts and set(shifts) == {1}
     assert sizes and max(sizes) <= 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkc.rings import (
+    MAX_EXPONENT,
     ConfigError,
     DivisibilityError,
     GroupRingElement,
@@ -361,3 +362,146 @@ def test_fraction_equality_matches_sympy(fa, data):
     expect = sympy.cancel(fraction_expr(fa) - fraction_expr(fb)) == 0
     assert (fa == fb) == expect
     assert (fb == fa) == expect
+
+
+M = MAX_EXPONENT
+
+
+def wide_keys(p, slots):
+    """The exponent tuples of p padded on the left to `slots` slots."""
+    return [(0,) * (slots - len(k)) + k for k in p.terms]
+
+
+def leaves_range(a, b):
+    """Whether some pair of terms of a and b has an exponent sum, in any
+    slot, deg included, outside [-M, M]."""
+    slots = max((len(k) for p in (a, b) for k in p.terms), default=0)
+    return any(abs(x + y) > M for ka in wide_keys(a, slots)
+               for kb in wide_keys(b, slots) for x, y in zip(ka, kb))
+
+
+@st.composite
+def edge_elements(draw, cls, trunc=None):
+    """Elements whose exponents reach the ends of the slot range; series
+    terms sit at, just below and just above trunc."""
+    edge = st.sampled_from((-M, -M + 1, -1, 0, 1, M - 1, M))
+    degrees = [0, 1, M] if trunc is None else [max(trunc - 1, 0), trunc,
+                                                trunc + 1]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = tuple(draw(edge) for _ in range(N))
+        if cls is not GroupRingElement:
+            key = (draw(edge),) + key
+        if cls is NovikovSeries:
+            deg = draw(st.sampled_from(degrees))
+            x1 = draw(st.sampled_from((0, deg)))
+            key = (deg, x1, deg - x1) + key
+        terms[key] = draw(st.integers(-3, 3).filter(bool))
+    if cls is NovikovSeries:
+        return NovikovSeries(N, trunc, terms)
+    return cls(N, terms)
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_values_at_the_slot_bounds_match_sympy_or_raise(data):
+    trunc = data.draw(st.sampled_from((None, 0, 1, 4)))
+    ca = data.draw(st.sampled_from(LAYOUTS))
+    cb = data.draw(st.sampled_from(LAYOUTS))
+    a = data.draw(edge_elements(ca, trunc))
+    b = data.draw(st.one_of(edge_elements(cb, trunc), elements(cb, trunc)))
+    wide = max(ca, cb, key=LAYOUTS.index)
+    A, B = to_expr(a), to_expr(b)
+    for got, expr in ((a + b, A + B), (a - b, A - B)):
+        assert got.terms == oracle_terms(expr, wide, trunc), (a, b)
+    if leaves_range(a, b):
+        for product in (lambda: a * b, lambda: b * a):
+            with pytest.raises(ConfigError):
+                product()
+    else:
+        for got in (a * b, b * a):
+            assert type(got) is wide
+            assert got.terms == oracle_terms(A * B, wide, trunc), (a, b)
+
+
+def test_cut_keeps_degree_trunc_with_the_most_negative_lower_slots():
+    for trunc in (0, 1, 5):
+        low = (-M,) * (N + 1)
+        at = (trunc, trunc, 0) + low
+        above = (trunc + 1, 0, trunc + 1) + low
+        top = (trunc, 0, trunc) + (M,) * (N + 1)
+        s = NovikovSeries(N, trunc, {at: 1, above: 2, top: 3})
+        assert s.terms == {at: 1, top: 3}
+        assert s.sorted_terms() == sorted(s.terms.items())
+
+
+def test_cut_at_the_ends_of_the_series_layout():
+    # Raw keys at the two ends of the layout: the cut reads only the top
+    # slot, so the slots below it need not add up to the degree here.
+    lower = 2 * N + 1
+
+    def series(trunc, *keys):
+        return NovikovSeries(N, trunc, {k: 1 for k in keys})
+
+    for trunc in (0, 1, 5):
+        last = (trunc,) + (M,) * lower  # the greatest key of degree trunc
+        first = (trunc + 1,) + (-M,) * lower  # the least one above it
+        assert series(trunc, last, first).terms == {last: 1}
+        below = (trunc,) + (1 - M,) * lower
+        step = (1,) + (-1,) * lower
+        unit = (0,) * (lower + 1)
+        a, b = series(trunc, below), series(trunc, step)
+        assert (a * b).is_zero()  # the one-term shift lands on `first`
+        expect = series(trunc, below, unit, *([step] if trunc else []))
+        assert series(trunc, below, unit) * series(trunc, step, unit) == expect
+        assert a.add_shifted(b, a) == a
+        up = series(trunc, (0,) + (1,) * lower)
+        assert (series(trunc, (trunc,) + (M - 1,) * lower) * up).terms \
+            == {last: 1}
+
+
+def test_exponents_past_the_bound_raise_and_never_wrap():
+    top, bottom = e(N, M, 0), e(N, -M, 0)
+    for make in (lambda: GroupRingElement(N, {(M + 1, 0): 1}),
+                 lambda: QExtElement.monomial(N, (0, 0), qexp=-M - 1),
+                 lambda: NovikovSeries.monomial(N, (M, 1)),
+                 lambda: top * e(N, 1, 0),
+                 lambda: bottom * e(N, -1, 5),
+                 lambda: (top + e(N, 0, 1)) * (e(N, 0, 0) + e(N, 2, 0)),
+                 lambda: e(N, 0, 1) ** (M + 1),
+                 lambda: e(N, 2, 0) ** (M // 2 + 1),
+                 lambda: GroupRingElement.one(N).add_shifted(top, e(N, 1, 0)),
+                 lambda: QExtElement.monomial(N, (0, 0), qexp=M)
+                 * NovikovSeries.monomial(N, (1, 0), QExtElement.monomial(
+                     N, (0, 0), qexp=1))):
+        with pytest.raises(ConfigError):
+            make()
+    # pairs that stay in range are exact, even once a bound was reached
+    assert top * e(N, -1, 0) == e(N, M - 1, 0)
+    assert top * bottom == GroupRingElement.one(N)
+    assert (top * bottom) * top == top
+    assert e(N, 0, -1) ** M == e(N, 0, -M)
+    assert top.add_shifted(bottom, top) == top + GroupRingElement.one(N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_add_shifted_matches_add_and_multiply(data):
+    trunc = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
+    ca, cx, cb = (data.draw(st.sampled_from(LAYOUTS)) for _ in range(3))
+    a = data.draw(elements(ca, trunc))
+    x = data.draw(elements(cx, trunc).filter(lambda v: len(v.terms) <= 1))
+    b = data.draw(elements(cb, trunc))
+    if data.draw(st.booleans()):
+        a = a - x * b  # the shift-add then cancels every shifted term
+    expect = a + x * b
+    got = a.add_shifted(x, b)
+    assert type(got) is type(expect) and got.trunc == expect.trunc
+    assert got.terms == expect.terms
+    assert got == expect and hash(got) == hash(expect)
+    two = GroupRingElement.one(N) + e(N, 1, 0)
+    for bad in (two, QExtElement.from_group(two),
+                NovikovSeries.constant(N, two, trunc), 2):
+        with pytest.raises(ConfigError):
+            a.add_shifted(bad, b)
