@@ -88,6 +88,15 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
+def _suite_names(text):
+    """'all' or a comma-separated list of suite names, kept as the text
+    that the JSON report echoes."""
+    bad = [s.strip() for s in text.split(",") if s.strip() not in verify.SUITES]
+    if text != "all" and bad:
+        raise argparse.ArgumentTypeError("unknown suite %r" % bad[0])
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qkc",
@@ -102,7 +111,8 @@ def build_parser():
                         "relations always cuts its t-polynomials at 2n+2, "
                         "and qbg, alcove and ic have no series")
     p.add_argument("--mode", choices=("truncated", "exact"))
-    p.add_argument("--suite",
+    p.add_argument("--suite", dest="suites", type=_suite_names,
+                   metavar="SUITE",
                    help="suite name, comma-separated list, or 'all'")
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
@@ -149,7 +159,7 @@ def build_parser():
 def _cmd_verify(args, parser):
     config = _read_config(args.config) if args.config else {}
 
-    def setting(key, default):
+    def setting(key, default, parse=_positive_int):
         """The flag, else the config value parsed like the flag, else default."""
         flag = getattr(args, key)
         if flag is not None:
@@ -157,21 +167,17 @@ def _cmd_verify(args, parser):
         if key not in config:
             return default
         try:
-            return _positive_int(config[key])
+            return parse(config[key])
         except argparse.ArgumentTypeError as exc:
             parser.error("config %s: %s" % (key, exc))
 
     n = setting("n", 2)
     trunc = setting("trunc", None)
     mode = args.mode or config.get("mode", "truncated")
-    suite = args.suite or config.get("suites", "all")
+    suite = setting("suites", "all", _suite_names)
     if mode not in ("truncated", "exact"):
         parser.error("unknown mode %r" % mode)
     suites = "all" if suite == "all" else [s.strip() for s in suite.split(",")]
-    if suites != "all":
-        for name in suites:
-            if name not in verify.SUITES:
-                parser.error("unknown suite %r" % name)
 
     reports = verify.run_suites(suites, n, mode, trunc)
     ok = all(r.ok for r in reports)

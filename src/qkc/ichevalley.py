@@ -4,6 +4,12 @@ Expands e^{-w(eps_m)} [O(w)] into twisted classes [O(x t_xi)(lambda)] with
 coefficients in Z[q^{+-1}], by summing over admissible subsets and
 decreasing chains; includes the staircase/mountain closed forms and the
 cancellation bookkeeping that links the general evaluator to them.
+
+No command reaches `ic1_data`, `ic2_data`, `derive_recurrence` and the
+`ic_lhs`, `SemiClassSum.tensor`, `QExtElement.from_group` and
+`specialize_q_one` they use.  They stay: the tests derive both semimod
+recursions from them, the only check that the recursions follow from the
+inverse Chevalley formulas.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ def edge_by_pattern(w, root):
     return None
 
 
-def build_graph(n, classifier=edge_by_length):
+def build_graph(n):
     """All edges of QBG(W), deterministically ordered."""
     if not 1 <= n <= 4:
         raise ConfigError("full graph build supported for 1 <= n <= 4")
@@ -104,7 +104,7 @@ def build_graph(n, classifier=edge_by_length):
     roots = positive_roots(n)
     for w in enumerate_group(n):
         for root in roots:
-            kind = classifier(w, root)
+            kind = edge_by_length(w, root)
             if kind is not None:
                 edges.append(QbgEdge(w, root, w * root.reflection(), kind))
     return edges

@@ -5,7 +5,8 @@ X_0..X_n.  The base relation is refined by a Demazure derivation chain
 (multiply by a monomial, apply D_k, divide exactly), rewritten through
 complete symmetric polynomials into a triangular recurrence system, and
 solved; the unique solution is the vector of hyperbolic elementary
-symmetric polynomials E_0..E_n.
+symmetric polynomials E_0..E_n.  `derivation_chain` walks the chain once,
+each relation derived from the one before.
 
 The printed relations (`secondary_literal`, `system_arbitrary`) and the
 csym-3/csym-4 lemma share one transcription of the nested sum,
@@ -101,20 +102,21 @@ def audit_base_rewrite(n):
     return RelationVector(n, folded) == base_relation(n)
 
 
-def _derivation_step(rel, k):
-    """Multiply by e^{eps_k}, apply D_k, divide by e^{eps_k}(1 - e^{eps_k+eps_{k+1}})."""
-    n = rel.n
-    step = rel.scale(_mono(n, _eps(n, k))).demazure(k)
-    d = _mono(n, _eps(n, k)) - _mono(
-        n, tuple(2 * a + b for a, b in zip(_eps(n, k), _eps(n, k + 1))))
-    return step.divide(d)
-
-
-def derive_secondary(rel):
-    """The derivation step at k = 1."""
-    if rel.n < 2:
-        raise ConfigError("the derivation chain needs rank at least 2")
-    return _derivation_step(rel, 1)
+def derivation_chain(n):
+    """Relations 1..n-1 of the Demazure derivation chain, each derived
+    from the one before by the step at k: multiply by e^{eps_k}, apply
+    D_k, divide by e^{eps_k}(1 - e^{eps_k+eps_{k+1}}).  The step at k = 1
+    turns the base relation into the secondary relation, which is scaled
+    by e^{n eps_1} before the steps at k = 2..n-1.  Rank 1 has no step."""
+    rel = base_relation(n)
+    for k in range(1, n):
+        if k == 2:
+            rel = rel.scale(_mono(n, _eps(n, 1, n)))
+        ek = _mono(n, _eps(n, k))
+        d = ek - _mono(
+            n, tuple(2 * a + b for a, b in zip(_eps(n, k), _eps(n, k + 1))))
+        rel = rel.scale(ek).demazure(k).divide(d)
+        yield rel
 
 
 def _printed_relation(n, k, shift):
@@ -144,27 +146,6 @@ def system_arbitrary(n, k):
         raise ConfigError("need 2 <= k <= n - 1")
     shift = (n - 1,) + (-1,) * (k - 1) + (0,) * (n - k)
     return _printed_relation(n, k, shift)
-
-
-def induction_step(prev, k):
-    """The derivation step at 2 <= k <= n - 1."""
-    if not 2 <= k <= prev.n - 1:
-        raise ConfigError("need 2 <= k <= n - 1")
-    return _derivation_step(prev, k)
-
-
-def chain_relation(n, k):
-    """The k-th relation obtained by running the derivation chain from the
-    base relation (k = 0) through the secondary relation (k = 1) and on."""
-    if k == 0:
-        return base_relation(n)
-    rel = derive_secondary(base_relation(n))
-    if k == 1:
-        return rel
-    rel = rel.scale(_mono(n, _eps(n, 1, n)))
-    for j in range(2, k + 1):
-        rel = induction_step(rel, j)
-    return rel
 
 
 def _h_row(variables, m):
@@ -254,14 +235,15 @@ def csym_nested_lhs(variables, m):
     return total
 
 
-def check_csym_props(n_max=4, m_max=6):
-    """The four complete-symmetric identities plus the index symmetry of
-    the hyperbolic elementary polynomials."""
+def check_csym_props(n_max=4):
+    """The four complete-symmetric identities at m = 1..6 plus the index
+    symmetry of the hyperbolic elementary polynomials."""
+    degrees = range(1, 7)
     for nv in range(1, n_max + 1):
         hv = _hyperbolic_vars(nv, nv)
         ok = h_poly(hv, 0) == GroupRingElement.one(nv)
         yield ("csym-1-n%d" % nv, ok, "")
-    for m in range(1, m_max + 1):
+    for m in degrees:
         n = 1
         x1 = _mono(n, (1,))
         lhs = _mono(n, (m,)) + _mono(n, (-m,))
@@ -272,7 +254,7 @@ def check_csym_props(n_max=4, m_max=6):
     for nv in range(2, max(n_max, 2) + 1):
         variables = [_mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
         hv = _hyperbolic_vars(nv, nv)
-        for m in range(1, m_max + 1):
+        for m in degrees:
             lhs = csym_nested_lhs(variables, m)
             ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
             cid = "csym-3-m%d" % m if nv == 2 else "csym-4-n%d-m%d" % (nv, m)
@@ -337,23 +319,27 @@ def _record(cid, check):
 
 def check_system(n):
     """Records for the derivation chain, the system rows and the solve.
-    The rows audit reuses the derivation verdicts: it fails at the first
-    failed derivation, else at the first row unequal to its literal."""
+    The chain is walked once; a step that raises fails its record and
+    every later chain record with the same location.  The rows audit
+    reuses the chain verdicts: it fails at the first failed derivation,
+    else at the first row unequal to its literal."""
     yield ("base-rewrite-audit", audit_base_rewrite(n), "")
-    base = base_relation(n)
-    expect, derivations = [base], []
-    if n >= 2:
-        literal = secondary_literal(n)
-        expect.append(literal.scale(_mono(n, _eps(n, 1))))
-        derivations.append(_record("secondary-derivation", lambda: (
-            derive_secondary(base) == literal)))
-        yield derivations[-1]
-    for k in range(2, n):
-        literal = system_arbitrary(n, k)
-        pref = (-(n - 1),) + (1,) * (k - 1) + (0,) * (n - k)
+    expect, derivations = [base_relation(n)], []
+    chain, fault = derivation_chain(n), None
+    for k in range(1, n):
+        if k == 1:
+            cid, literal, pref = ("secondary-derivation",
+                                  secondary_literal(n), _eps(n, 1))
+        else:
+            cid, literal = ("chain-vs-nested-sum-k%d" % k,
+                            system_arbitrary(n, k))
+            pref = (-(n - 1),) + (1,) * (k - 1) + (0,) * (n - k)
         expect.append(literal.scale(_mono(n, pref)))
-        derivations.append(_record("chain-vs-nested-sum-k%d" % k, lambda: (
-            chain_relation(n, k) == literal)))
+        try:
+            ok = fault is None and next(chain) == literal
+        except ArithmeticError as exc:
+            ok, fault = False, str(exc)
+        derivations.append((cid, ok, fault or ""))
         yield derivations[-1]
     rows = assemble_system(n)
     faults = [location for _, ok, location in derivations if not ok]
@@ -415,26 +401,16 @@ def _gf_row_products(n, k, d_t):
             _t_factors([one], tail + [-one, one], d_t))
 
 
-def check_generating_identities(n, d_t=None):
+def check_generating_identities(n):
     """The generating-function identities behind the triangular solve,
-    as t-polynomials truncated at degree d_t (default 2n + 2).
+    as t-polynomials truncated at degree 2n + 2.
 
     Every product is taken one linear factor (1 +- x t) at a time.
     gf-2 compares the product of the 2n factors (1 + x t) with the
     elementary_E list, so it alone covers the E_m; gf-3 multiplies by
     the same 2n factors and checks the product against the tail factors
-    times (1 - t^2) and against e_poly over the tail variables.
-
-    A d_t below 2n raises ConfigError here; the records are then
-    yielded one at a time."""
-    if d_t is None:
-        d_t = 2 * n + 2
-    if d_t < 2 * n:
-        raise ConfigError("t-truncation must reach degree 2n")
-    return _gf_records(n, d_t)
-
-
-def _gf_records(n, d_t):
+    times (1 - t^2) and against e_poly over the tail variables."""
+    d_t = 2 * n + 2
     one = GroupRingElement.one(n)
     zero = GroupRingElement.zero(n)
     for k in range(n):

@@ -361,23 +361,6 @@ class Poly:
             return key, coeff
         return None
 
-    def map_group_parts(self, fn):
-        """Apply fn (GroupRingElement -> GroupRingElement) to the Z[P] part
-        of every coefficient: to each slice of terms that agree on all key
-        slots above the weight slots."""
-        low = _low_part(self.n)
-        slices = {}
-        for k, v in self._packed.items():
-            w = low(k)
-            slices.setdefault(k - w, {})[w] = v
-        out, reach = {}, self._reach
-        for head, part in slices.items():
-            g = fn(GroupRingElement._make(self.n, None, part, self._reach))
-            reach = max(reach, g._reach)
-            for k, v in g._packed.items():
-                out[head + k] = v
-        return self._like(out, reach)
-
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
 
@@ -544,11 +527,6 @@ class NovikovSeries(Poly):
         packed = self._packed if cut is None else {
             k: v for k, v in self._packed.items() if k < cut}
         return NovikovSeries._make(self.n, trunc, packed, self._reach)
-
-    def degree_zero_part(self):
-        cut = _cut(self.n, 0)
-        return QExtElement._make(self.n, None, {
-            k: v for k, v in self._packed.items() if k < cut}, self._reach)
 
     def render(self, var="Q"):
         n = self.n

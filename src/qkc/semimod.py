@@ -32,14 +32,9 @@ from .weylc import (
     SignedPerm,
     _alpha_range,
     _eps,
-    demazure_D,
     order_key,
     universe,
 )
-
-
-class UnsupportedOperandError(TypeError):
-    """Operation applied outside its domain of definition."""
 
 
 def adjacent_in(n, I, a, b):
@@ -427,15 +422,3 @@ def check_duality(n, trunc=None):
                                   sorted(J, key=lambda x: order_key(n, x)), p),
                                s == t, "")
 
-
-def demazure_module(i, z):
-    """Apply the Demazure operator to the scalar part of every coefficient.
-    Only defined when all Weyl parts are the identity (translation classes)."""
-    e = SignedPerm.identity(z.n)
-    for w, _ in z.terms:
-        if w != e:
-            raise UnsupportedOperandError(
-                "Demazure operator needs translation classes, got %s"
-                % w.render())
-    return z.map_coefficients(
-        lambda v: v.map_group_parts(lambda g: demazure_D(i, g)))

@@ -26,12 +26,6 @@ def universe(n):
     return list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
 
 
-def interval(n, a, b):
-    """All signed elements x with a <= x <= b in the [1,1bar] order."""
-    ka, kb = order_key(n, a), order_key(n, b)
-    return [x for x in universe(n) if ka <= order_key(n, x) <= kb]
-
-
 class SignedPerm:
     """Signed permutation in window notation [w(1), ..., w(n)]."""
 
@@ -46,10 +40,6 @@ class SignedPerm:
     @classmethod
     def identity(cls, n):
         return cls(range(1, n + 1))
-
-    @classmethod
-    def longest(cls, n):
-        return cls(range(-1, -n - 1, -1))
 
     @classmethod
     def simple(cls, n, i):
@@ -320,8 +310,9 @@ def demazure_D(i, f):
 
 
 def demazure_D_fraction(i, f):
-    """D_i via the defining fraction, using exact division. Used as an
-    independent oracle for the closed form."""
+    """D_i via the defining fraction, using exact division.  No command
+    calls it: it is kept as the independent oracle that the tests compare
+    the closed form `demazure_D` with."""
     from .rings import exact_div
 
     n = f.n

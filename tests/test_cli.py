@@ -215,7 +215,11 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
         return lookup
 
     for module, name in SHARED_TABLES:
-        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        table = getattr(module, name)
+        # earlier runs in this process may have filled the table already,
+        # and a filled table is never looked up again
+        table.cache_clear()
+        monkeypatch.setattr(module, name, recording(name, table))
     for mode in ("truncated", "exact"):
         assert run(capsys, "verify", "--n", "3", "--mode", mode)[0] == 0
     monkeypatch.undo()
@@ -371,6 +375,8 @@ def test_exact_mode_ignores_trunc(capsys):
     ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma"],
     ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma:x"],
     ["alcove", "list", "--w", "[2,-1]", "--seq", "bogus:1"],
+    # an empty flag is not an unset one
+    ["verify", "--n", "2", "--suite", ""],
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -418,7 +424,8 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     assert json.loads(out)["reports"][0]["suite"] == "qbg"
 
 
-@pytest.mark.parametrize("text", [None, "trunc = abc", "n = x", "trunc = -3"])
+@pytest.mark.parametrize("text", [None, "trunc = abc", "n = x", "trunc = -3",
+                                  "suites ="])
 def test_bad_config_is_usage_error(capsys, tmp_path, text):
     cfg = tmp_path / "qkc.cfg"
     if text is not None:

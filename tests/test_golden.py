@@ -38,6 +38,20 @@ GOLDEN = [
      "97201fe5650cdab939ea573301d3104087eca278b6edce3186bbe54928b97b62"),
     (["verify", "--n", "3", "--suite", "all", "--json", "--mode", "exact"],
      "ef94bfc094651bddc0d4aa207aad6c7837f9a8a7c5bd2a2424148ce94f626518"),
+    # the three reports the benchmark gates on, with its digests
+    (["verify", "--n", "4", "--suite", "all", "--mode", "truncated", "--json"],
+     "dd4c84e65f4a492409dec2812d0ab917d133f2a048b614fc82618da047ee8cac"),
+    (["verify", "--n", "4", "--suite", "all", "--mode", "exact", "--json"],
+     "aa1f9d61ac6dcbd026cdf6e60d4ac9cb74026e4cfe2a6656bb89cdec9ba444e3"),
+    (["verify", "--n", "5", "--suite", "qbg,alcove,ic", "--json"],
+     "e8c7e96dd6b6e15cd66cbafba695acc2a91f1ed3b76f007cf54df4435226e22f"),
+    # recorded before build_graph lost its classifier argument
+    (["qbg", "export", "--n", "2", "--format", "dot"],
+     "6be14fcda25795fa6998d1ee53349d1357e5d19f7f6f95f63377742506915b8f"),
+    (["qbg", "export", "--n", "2", "--format", "json"],
+     "13bf96c97bed654ac18efccd2682dec0956c06bf9a5885decfd47fbedbf5d3ae"),
+    (["alcove", "list", "--w", "[2,-1]", "--seq", "gamma:1", "--json"],
+     "155541ede71fb3c366d022d4bfb5f125710c7dc6d279527d69b1add6cb6f2c3f"),
 ]
 
 

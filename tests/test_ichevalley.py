@@ -129,4 +129,4 @@ def test_target_must_be_unit():
     lhs, rhs = ic1_data(n, 1)
     with pytest.raises(ConfigError):
         derive_recurrence(lhs, rhs, (0, 0),
-                          (SignedPerm.longest(n), (0,) * n, (0,) * n))
+                          (SignedPerm(range(-1, -n - 1, -1)), (0,) * n, (0,) * n))

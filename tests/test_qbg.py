@@ -1,6 +1,12 @@
 import json
 
-from qkc.qbg import build_graph, edge_by_length, edge_by_pattern, export
+from qkc.qbg import (
+    QbgEdge,
+    build_graph,
+    edge_by_length,
+    edge_by_pattern,
+    export,
+)
 from qkc.weylc import (
     RootC,
     SignedPerm,
@@ -85,7 +91,9 @@ def test_quantum_length_drop_formula():
 def test_graph_matches_bruteforce_n2():
     n = 2
     edges = build_graph(n)
-    brute = build_graph(n, classifier=edge_by_pattern)
+    brute = [QbgEdge(w, root, w * root.reflection(), kind)
+             for w in enumerate_group(n) for root in positive_roots(n)
+             for kind in [edge_by_pattern(w, root)] if kind is not None]
     assert edges == brute
     assert len({e.source for e in edges}) == 8
 

@@ -8,17 +8,15 @@ from qkc.relations import (
     assemble_system,
     audit_base_rewrite,
     base_relation,
-    chain_relation,
     check_csym_props,
     check_generating_identities,
     check_system,
     complete_h,
     csym_nested_lhs,
-    derive_secondary,
+    derivation_chain,
     e_poly,
     elementary_E,
     h_poly,
-    induction_step,
     secondary_literal,
     solve_system,
     system_arbitrary,
@@ -49,7 +47,7 @@ def test_base_rewrite_audit():
 
 def test_secondary_derivation_matches_literal():
     for n in range(2, 6):
-        assert derive_secondary(base_relation(n)) == secondary_literal(n)
+        assert next(derivation_chain(n)) == secondary_literal(n)
 
 
 def test_secondary_top_coefficient():
@@ -62,13 +60,33 @@ def test_secondary_top_coefficient():
 
 def test_chain_matches_nested_sums():
     for n in range(3, 5):
+        chain = list(derivation_chain(n))
         for k in range(2, n):
-            assert chain_relation(n, k) == system_arbitrary(n, k), (n, k)
+            assert chain[k - 1] == system_arbitrary(n, k), (n, k)
 
 
 def test_induction_step_needs_room():
-    with pytest.raises(ConfigError):
-        induction_step(base_relation(2), 2)
+    # the chain takes steps k = 1..n-1 only: rank 1 has none, and rank 2
+    # stops at the secondary relation
+    assert list(derivation_chain(1)) == []
+    assert list(derivation_chain(2)) == [secondary_literal(2)]
+
+
+def test_a_raising_step_fails_every_later_chain_record(monkeypatch):
+    original = relations.demazure_D
+
+    def demazure_D(i, f):
+        # off by one at k = 2, so the division after that step fails
+        out = original(i, f)
+        return out + GroupRingElement.one(f.n) if i == 2 else out
+
+    monkeypatch.setattr(relations, "demazure_D", demazure_D)
+    records = {cid: (ok, location) for cid, ok, location in check_system(4)}
+    assert records["secondary-derivation"] == (True, "")
+    ok, location = records["chain-vs-nested-sum-k2"]
+    assert not ok and location.startswith("not divisible")
+    assert records["chain-vs-nested-sum-k3"] == (False, location)
+    assert records["system-rows-audit"] == (False, location)
 
 
 def test_system_arbitrary_top_term():
@@ -169,8 +187,6 @@ def test_generating_identities():
     for n in range(1, 6):
         for name, ok, _ in check_generating_identities(n):
             assert ok, (n, name)
-    with pytest.raises(ConfigError):
-        check_generating_identities(3, 4)
 
 
 def test_row_matches_complete_h():

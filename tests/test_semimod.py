@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from qkc import semimod
-from qkc.rings import GroupRingElement, NovikovFraction, NovikovSeries, QExtElement
+from qkc.rings import GroupRingElement, NovikovFraction, NovikovSeries
 from qkc.semimod import (
     SemiModElement,
-    UnsupportedOperandError,
     adjacent_in,
     bare_psi_product,
     check_duality,
@@ -15,7 +14,6 @@ from qkc.semimod import (
     closed_P,
     closed_Q,
     decompose_I,
-    demazure_module,
     duality_hypothesis,
     ff,
     jab_sets,
@@ -221,20 +219,6 @@ def test_duality_sums():
     for n in (2, 3):
         for name, ok, _ in check_duality(n):
             assert ok, (n, name)
-
-
-def test_demazure_module():
-    n = 2
-    e = SignedPerm.identity(n)
-    coeff = NovikovSeries.constant(n, QExtElement.monomial(n, (0, 1)))
-    z = SemiModElement(n, {(e, (0, 0)): coeff}.items())
-    image = demazure_module(1, z)
-    expect_c = NovikovSeries.constant(
-        n, QExtElement.monomial(n, (0, 1)) + QExtElement.monomial(n, (1, 0)))
-    assert image == SemiModElement(n, {(e, (0, 0)): expect_c}.items())
-    bad = SemiModElement.basis(SignedPerm.simple(n, 1))
-    with pytest.raises(UnsupportedOperandError):
-        demazure_module(1, bad)
 
 
 def test_module_arithmetic():
