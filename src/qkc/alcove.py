@@ -1,124 +1,81 @@
 """Quantum alcove model: the root sequences Theta_k and Gamma_k(k),
 admissible subsets with end/down statistics, decreasing chains S_{m,j},
-and the end-filtered families used by the inverse Chevalley evaluator."""
+and the end-filtered families used by the inverse Chevalley evaluator.
+
+Every entry of Theta_k and Gamma_k(k) is a negated root, so a sequence is
+the tuple of those roots (built once per rank and k), and a subset is the
+tuple of positions it picks from it.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .rings import ConfigError
 from .qbg import edge_by_length
-from .weylc import RootC, _eps, coroot_sum, order_key, root_from_label, universe
+from .weylc import RootC, _eps, coroot_sum, order_key, universe
 
 
-class RootSequence:
-    """Ordered list of signed roots; entries are (negated: bool, RootC)."""
-
-    __slots__ = ("n", "name", "entries")
-
-    def __init__(self, n, name, entries):
-        self.n = n
-        self.name = name
-        self.entries = tuple(entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def absolute(self, idx):
-        """|gamma| for the entry at idx (0-based)."""
-        return self.entries[idx][1]
-
-    def render(self):
-        parts = []
-        for neg, root in self.entries:
-            parts.append(("-" if neg else "") + root.render())
-        return "%s = (%s)" % (self.name, ", ".join(parts))
-
-    def __repr__(self):
-        return "RootSequence(%r)" % self.render()
-
-
+@functools.lru_cache(maxsize=None)
 def theta_seq(n, k):
-    """Theta_k = (-(1,k), ..., -(k-1,k))."""
+    """Theta_k = (-(1,k), ..., -(k-1,k)), as the tuple of roots (1,k), ...,
+    (k-1,k)."""
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    entries = [(True, RootC(n, "minus", i, k)) for i in range(1, k)]
-    return RootSequence(n, "Theta_%d" % k, entries)
+    return tuple(RootC(n, i, k) for i in range(1, k))
 
 
+@functools.lru_cache(maxsize=None)
 def gamma_seq(n, k):
     """Gamma_k(k), of length 2n - k:
 
     (-(1,kbar), ..., -(k-1,kbar), -(k,k+1bar), ..., -(k,nbar),
      -(k,kbar), -(k,n), ..., -(k,k+1))
+
+    as the tuple of its roots, with the common sign dropped.
     """
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    entries = []
-    for i in range(1, k):
-        entries.append((True, root_from_label(n, i, -k)))
-    for j in range(k + 1, n + 1):
-        entries.append((True, root_from_label(n, k, -j)))
-    entries.append((True, root_from_label(n, k, -k)))
-    for j in range(n, k, -1):
-        entries.append((True, root_from_label(n, k, j)))
-    return RootSequence(n, "Gamma_%d(%d)" % (k, k), entries)
+    labels = ([(i, -k) for i in range(1, k)]
+              + [(k, -j) for j in range(k + 1, n + 1)] + [(k, -k)]
+              + [(k, j) for j in range(n, k, -1)])
+    return tuple(RootC(n, i, j) for i, j in labels)
 
 
 class AdmissibleSubset:
-    __slots__ = ("base", "sequence", "positions", "path", "end", "down")
+    """The positions (0-based, increasing) chosen from a root sequence, the
+    end of the path they walk and the sum of its quantum steps' coroots."""
 
-    def __init__(self, base, sequence, positions, path, end, down):
-        self.base = base
+    __slots__ = ("sequence", "positions", "end", "down")
+
+    def __init__(self, sequence, positions, end, down):
         self.sequence = sequence
-        self.positions = tuple(positions)   # 0-based indices, increasing
-        self.path = tuple(path)             # (vertex, root, kind) per step
+        self.positions = tuple(positions)
         self.end = end
-        self.down = down                    # alpha^vee coordinates
-
-    def size(self):
-        return len(self.positions)
-
-    def labels(self):
-        """The chosen entries as signed labels, e.g. [-(1,2), -(2,-2)]."""
-        return tuple(self.sequence.entries[p] for p in self.positions)
+        self.down = down  # alpha^vee coordinates
 
     def render(self):
-        labels = ", ".join(
-            ("-" if neg else "") + root.render() for neg, root in self.labels())
-        return "{%s}" % labels
-
-    def __repr__(self):
-        return "AdmissibleSubset(%r)" % self.render()
-
-    def __eq__(self, other):
-        return (isinstance(other, AdmissibleSubset)
-                and self.base == other.base
-                and self.sequence.name == other.sequence.name
-                and self.positions == other.positions)
-
-    def __hash__(self):
-        return hash((self.base, self.sequence.name, self.positions))
+        return "{%s}" % ", ".join(
+            "-" + self.sequence[p].render() for p in self.positions)
 
 
 def admissible_subsets(w, seq):
     """All w-admissible subsets of the root sequence, by DFS extension."""
     out = []
 
-    def extend(idx, positions, path, end, downs):
-        out.append(AdmissibleSubset(
-            w, seq, positions, path, end, coroot_sum(w.n, downs)))
+    def extend(idx, positions, end, downs):
+        out.append(AdmissibleSubset(seq, positions, end, coroot_sum(w.n, downs)))
         for p in range(idx, len(seq)):
-            root = seq.absolute(p)
+            root = seq[p]
             kind = edge_by_length(end, root)
             if kind is None:
                 continue
-            nxt = end * root.reflection()
-            extend(p + 1, positions + [p], path + [(end, root, kind)], nxt,
-                   downs + [root.coroot()] if kind == "Q" else downs)
+            extend(p + 1, positions + [p], end * root.reflection,
+                   downs + [root.coroot] if kind == "Q" else downs)
 
-    extend(0, [], [], w, [])
-    out.sort(key=lambda a: (a.size(), a.positions))
+    extend(0, [], w, [])
+    out.sort(key=lambda a: (len(a.positions), a.positions))
     return out
 
 

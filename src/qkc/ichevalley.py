@@ -102,7 +102,7 @@ def _chain_tuples(w, source, chain):
         for a in a_filtered(base, prev, head):
             for suffix, end, down, size in rec(a.end, head, tail):
                 yield ([a] + suffix, end,
-                       coroot_sum(n, [a.down, down]), size + a.size())
+                       coroot_sum(n, [a.down, down]), size + len(a.positions))
 
     yield from rec(w, source, list(chain))
 
@@ -122,7 +122,7 @@ def _chain_blocks(w, m, j, barred):
             block = SemiClassSum.sum_of(n, (
                 SemiClassSum.basis(
                     b.end, coroot_sum(n, [down, b.down]), lam,
-                    coeff=sign * (-1) ** b.size(), qexp=qexp)
+                    coeff=sign * (-1) ** len(b.positions), qexp=qexp)
                 for b in admissible_subsets(end, seq)))
             yield chain, alist, block
 
@@ -134,7 +134,7 @@ def inverse_chevalley(w, m):
         raise ConfigError("m out of range")
     # first block: B-sum over A(w, Theta_m), twist -eps_m
     first = (SemiClassSum.basis(b.end, b.down, _eps(n, m, -1),
-                                coeff=(-1) ** b.size())
+                                coeff=(-1) ** len(b.positions))
              for b in admissible_subsets(w, theta_seq(n, m)))
     # chain blocks; barred targets only beyond m
     blocks = (block

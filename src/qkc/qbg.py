@@ -1,25 +1,18 @@
 """Quantum Bruhat graph for type C_n.
 
 Edges are built two independent ways: from the length conditions (the
-definition) and from the five-case window-pattern criterion; the two are
-cross-checked exhaustively in the test suite.
+definition, with the reflection and quantum length drop each root carries)
+and from the five-case window-pattern criterion, which reads the root's
+label (i, j) against the window of w; the qbg suite and the tests
+cross-check the two exhaustively.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 
 from .rings import ConfigError
-from .weylc import (
-    RootC,
-    enumerate_group,
-    order_key,
-    pairing,
-    positive_roots,
-    rho_vector,
-    universe,
-)
+from .weylc import enumerate_group, order_key, positive_roots, universe
 
 
 class QbgEdge:
@@ -31,37 +24,13 @@ class QbgEdge:
         self.target = target
         self.kind = kind  # "B" or "Q"
 
-    def __eq__(self, other):
-        return (isinstance(other, QbgEdge)
-                and (self.source, self.root, self.target, self.kind)
-                == (other.source, other.root, other.target, other.kind))
-
-    def __hash__(self):
-        return hash((self.source, self.root, self.target, self.kind))
-
-    def render(self):
-        return "%s -%s:%s-> %s" % (
-            self.source.render(), self.root.render(), self.kind,
-            self.target.render())
-
-    def __repr__(self):
-        return "QbgEdge(%r)" % self.render()
-
-
-@functools.lru_cache(maxsize=None)
-def _reflection_and_drop(n, kind, i, j):
-    """s_root and the quantum length drop 2<rho, root^vee> - 1."""
-    root = RootC(n, kind, i, j)
-    return root.reflection(), 2 * pairing(rho_vector(n), root.coroot()) - 1
-
 
 def edge_by_length(w, root):
     """Classify w -> w s_root by the length conditions; None if no edge."""
-    reflection, drop = _reflection_and_drop(root.n, root.kind, root.i, root.j)
-    lw, lt = w.length(), (w * reflection).length()
+    lw, lt = w.length(), (w * root.reflection).length()
     if lt == lw + 1:
         return "B"
-    if lt == lw - drop:
+    if lt == lw - root.drop:
         return "Q"
     return None
 
@@ -70,17 +39,11 @@ def edge_by_pattern(w, root):
     """Classify w -> w s_root by the window-pattern criterion."""
     n = w.n
     val = lambda x: order_key(n, w.act(x))
-    i = root.i
-    if root.kind == "minus":
-        j = root.j
-    elif root.kind == "plus":
-        j = -root.j
-    else:
-        j = -root.i
+    i, j = root.i, root.j
     vi, vj = val(i), val(j)
     lo, hi = order_key(n, i), order_key(n, j)
     inner = [val(x) for x in universe(n) if lo < order_key(n, x) < hi]
-    if root.kind == "minus" or root.kind == "long":
+    if j > 0 or j == -i:
         if vi < vj:
             if not any(vi < v < vj for v in inner):
                 return "B"
@@ -106,7 +69,7 @@ def build_graph(n):
         for root in roots:
             kind = edge_by_length(w, root)
             if kind is not None:
-                edges.append(QbgEdge(w, root, w * root.reflection(), kind))
+                edges.append(QbgEdge(w, root, w * root.reflection, kind))
     return edges
 
 

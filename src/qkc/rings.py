@@ -813,26 +813,32 @@ def exact_div(a, d):
     # Solve q * (e^gamma - 1) = a / (c e^nu) by lifting the minimal terms
     # along the gamma-grading.  Quotient terms satisfy
     # g(term) <= max_g(dividend) - |gamma|^2, which bounds the climb and
-    # turns non-divisibility into a detectable stall.
-    bound = max(gdot(e) for e in b) - step
+    # turns non-divisibility into a detectable stall.  The remainder is
+    # kept as layers by grade: a lifted key lands one layer up, at
+    # g + |gamma|^2, so every key is graded once.
+    layers = {}
+    for exps, v in b.items():
+        layers.setdefault(gdot(exps), {})[exps] = v
+    bound = max(layers) - step
     quotient = {}
-    rem = b
-    while rem:
-        low = min(gdot(e) for e in rem)
+    while layers:
+        low = min(layers)
         if low > bound:
+            rem = {e: v for layer in layers.values() for e, v in layer.items()}
             raise DivisibilityError("not divisible: remainder %s" %
                                     GroupRingElement(n, rem).render())
-        layer = [(e, v) for e, v in rem.items() if gdot(e) == low]
-        for exps, v in layer:
+        upper = layers.setdefault(low + step, {})
+        for exps, v in layers.pop(low).items():
             # quotient term -v e^exps; add v e^{exps+gamma} - v e^exps to rem
-            quotient[exps] = quotient.get(exps, 0) - v
+            quotient[exps] = -v
             up = tuple(x + y for x, y in zip(exps, gamma))
-            del rem[exps]
-            nv = rem.get(up, 0) + v
+            nv = upper.get(up, 0) + v
             if nv:
-                rem[up] = nv
+                upper[up] = nv
             else:
-                rem.pop(up, None)
+                del upper[up]
+        if not upper:
+            del layers[low + step]
     return GroupRingElement(n, quotient)
 
 

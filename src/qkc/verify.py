@@ -86,25 +86,27 @@ def _suite_qbg(n, trunc):
             if qbg.edge_by_pattern(w, root) != qbg.edge_by_length(w, root)))
 
 
+def _picked(a):
+    """The labels of the roots an admissible subset picks."""
+    return [(a.sequence[p].i, a.sequence[p].j) for p in a.positions]
+
+
 def _check_mountain_theta(n, k):
     fam = alcove.admissible_subsets(ichevalley.mountain(n, k),
                                     alcove.theta_seq(n, k))
     if k == 1:
         ok = [a.positions for a in fam] == [()]
-        return [("mountain-theta-k%d" % k, ok, "")]
-    ok = (len(fam) == 2
-          and fam[1].sequence.absolute(fam[1].positions[0]).pair_label()
-          == (k - 1, k)
-          and fam[1].end == ichevalley.mountain(n, k - 1))
-    return [("mountain-theta-k%d" % k, ok, "")]
+    else:
+        ok = (len(fam) == 2 and _picked(fam[1]) == [(k - 1, k)]
+              and fam[1].end == ichevalley.mountain(n, k - 1))
+    return ("mountain-theta-k%d" % k, ok, "")
 
 
 def _check_mountain_gamma(n, k):
-    fam = alcove.admissible_subsets(ichevalley.mountain(n, k),
-                                    alcove.gamma_seq(n, k))
-    got = {a.positions: a for a in fam}
     seq = alcove.gamma_seq(n, k)
-    idx = {root.pair_label(): p for p, (_, root) in enumerate(seq.entries)}
+    fam = alcove.admissible_subsets(ichevalley.mountain(n, k), seq)
+    got = {a.positions: a for a in fam}
+    idx = {(root.i, root.j): p for p, root in enumerate(seq)}
     long_p = idx[(k, -k)]
     ok = True
     if k < n:
@@ -118,25 +120,24 @@ def _check_mountain_gamma(n, k):
         ok = set(got) == {(), (long_p,)}
     ok = ok and got[(long_p,)].end == ichevalley.staircase(n, k - 1)
     ok = ok and got[(long_p,)].down == _alpha_range(n, k, n)
-    return [("mountain-gamma-k%d" % k, ok, "")]
+    return ("mountain-gamma-k%d" % k, ok, "")
 
 
 def _check_staircase_gamma(n, j):
     fam = alcove.admissible_subsets(ichevalley.staircase(n, j - 1),
                                     alcove.gamma_seq(n, j))
     label = (j, j + 1) if j < n else (n, -n)
-    ok = (len(fam) == 2
-          and fam[1].sequence.absolute(fam[1].positions[0]).pair_label() == label
+    ok = (len(fam) == 2 and _picked(fam[1]) == [label]
           and fam[1].end == ichevalley.staircase(n, j)
           and fam[1].down == (0,) * n)
-    return [("staircase-gamma-j%d" % j, ok, "")]
+    return ("staircase-gamma-j%d" % j, ok, "")
 
 
 def _suite_alcove(n, trunc):
     for k in range(1, n + 1):
-        yield from _check_mountain_theta(n, k)
-        yield from _check_mountain_gamma(n, k)
-        yield from _check_staircase_gamma(n, k)
+        yield _check_mountain_theta(n, k)
+        yield _check_mountain_gamma(n, k)
+        yield _check_staircase_gamma(n, k)
 
 
 def _suite_ic(n, trunc):

@@ -4,8 +4,10 @@ Elements of [1,1bar] = {1 < ... < n < nbar < ... < 1bar} are encoded as
 signed integers: +k for k, -k for kbar.  The total order is realized by
 order_key: +k -> k, -k -> 2n+1-k.
 
-Weights live in the eps-basis (integer vectors of length n); coroots are
-stored in the alpha^vee basis.
+A positive root is named by its label (i, j) with j signed: the root
+eps_i - eps_j, where eps_{jbar} = -eps_j, so (i, ibar) is the long root
+2 eps_i.  Weights live in the eps-basis (integer vectors of length n);
+coroots are stored in the alpha^vee basis.
 """
 
 from __future__ import annotations
@@ -137,98 +139,46 @@ def enumerate_group(n):
 
 
 class RootC:
-    """Positive root of type C_n.
-
-    kind "minus": eps_i - eps_j (i < j); kind "plus": eps_i + eps_j (i < j);
-    kind "long": 2 eps_i (stored with j = i).
+    """Positive root of type C_n, named by its label (i, j): j is a signed
+    element of [1,1bar] with i < |j|, or j = -i for the long root
+    (Bjorner-Brenti 8.1).  The root is eps_i - eps_j, with
+    eps_{jbar} = -eps_j.  Its weight (eps-basis), coroot (alpha^vee
+    basis), reflection and quantum length drop 2<rho, root^vee> - 1 are
+    built with the root.
     """
 
-    __slots__ = ("n", "kind", "i", "j")
+    __slots__ = ("i", "j", "weight", "coroot", "reflection", "drop")
 
-    def __init__(self, n, kind, i, j):
-        if kind not in ("minus", "plus", "long"):
-            raise ConfigError("unknown root kind %r" % kind)
-        if kind == "long":
-            if not 1 <= i <= n or j != i:
-                raise ConfigError("bad long root indices")
-        elif not 1 <= i < j <= n:
-            raise ConfigError("bad root indices (%d,%d)" % (i, j))
-        self.n, self.kind, self.i, self.j = n, kind, i, j
-
-    def weight(self):
-        n, i, j = self.n, self.i, self.j
-        if self.kind == "long":
-            return _eps(n, i, 2)
-        sign = -1 if self.kind == "minus" else 1
-        return tuple(a + sign * b for a, b in zip(_eps(n, i), _eps(n, j)))
-
-    def coroot(self):
-        """Coordinates in the alpha^vee basis."""
-        n, i, j = self.n, self.i, self.j
-        if self.kind == "minus":
-            return _alpha_range(n, i, j - 1)
-        if self.kind == "long":
-            return _alpha_range(n, i, n)
-        return tuple(a + 2 * b for a, b in zip(_alpha_range(n, i, j - 1),
-                                              _alpha_range(n, j, n)))
-
-    def reflection(self):
-        n, i, j = self.n, self.i, self.j
+    def __init__(self, n, i, j):
+        if not (1 <= i < abs(j) <= n or 1 <= i == -j <= n):
+            raise ConfigError("bad root label (%d,%d)" % (i, j))
+        self.i, self.j = i, j
+        self.weight = tuple(a + b for a, b in zip(_eps(n, i), _eps(n, j, -1)))
+        # eps-coordinates of the coroot, summed up into the alpha^vee basis
+        half = 2 if j == -i else 1
+        self.coroot = tuple(itertools.accumulate(c // half for c in self.weight))
         window = list(range(1, n + 1))
-        if self.kind == "minus":
-            window[i - 1], window[j - 1] = j, i
-        elif self.kind == "plus":
-            window[i - 1], window[j - 1] = -j, -i
-        else:
-            window[i - 1] = -i
-        return SignedPerm(window)
-
-    def pair_label(self):
-        """The (i, j)-style label with j as a signed element."""
-        if self.kind == "minus":
-            return (self.i, self.j)
-        if self.kind == "plus":
-            return (self.i, -self.j)
-        return (self.i, -self.i)
-
-    def __eq__(self, other):
-        return (isinstance(other, RootC) and (self.n, self.kind, self.i, self.j)
-                == (other.n, other.kind, other.i, other.j))
-
-    def __hash__(self):
-        return hash((self.n, self.kind, self.i, self.j))
+        window[i - 1] = j
+        window[abs(j) - 1] = i if j > 0 else -i
+        self.reflection = SignedPerm(window)
+        self.drop = 2 * pairing(rho_vector(n), self.coroot) - 1
 
     def render(self):
-        a, b = self.pair_label()
-        return "(%d,%d)" % (a, b)
-
-    def __repr__(self):
-        return "RootC(%r)" % self.render()
+        return "(%d,%d)" % (self.i, self.j)
 
 
-def root_from_label(n, i, j):
-    """Root with label (i, j) where j is signed; (i, -i) is the long root."""
-    if j > 0:
-        return RootC(n, "minus", i, j)
-    if -j == i:
-        return RootC(n, "long", i, i)
-    lo, hi = min(i, -j), max(i, -j)
-    return RootC(n, "plus", lo, hi)
+def _labels(n):
+    """The n^2 positive-root labels: (i, j), then (i, jbar) for i < j, then
+    the long roots (i, ibar)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return (pairs + [(i, -j) for i, j in pairs]
+            + [(i, -i) for i in range(1, n + 1)])
 
 
 @functools.lru_cache(maxsize=None)
 def positive_roots(n):
     """The n^2 positive roots of C_n, as a tuple built once per rank."""
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(RootC(n, "minus", i, j))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(RootC(n, "plus", i, j))
-    for i in range(1, n + 1):
-        out.append(RootC(n, "long", i, i))
-    return tuple(out)
+    return tuple(RootC(n, i, j) for i, j in _labels(n))
 
 
 def _eps(n, j, c=1):
@@ -272,11 +222,12 @@ def coroot_sum(n, cvs):
 
 @functools.lru_cache(maxsize=None)
 def rho_vector(n):
-    """rho = half the sum of the positive roots, in the eps-basis."""
+    """rho = half the sum of the positive roots eps_i - eps_j, in the
+    eps-basis."""
     total = [0] * n
-    for root in positive_roots(n):
-        for t, c in enumerate(root.weight()):
-            total[t] += c
+    for i, j in _labels(n):
+        total[i - 1] += 1
+        total[abs(j) - 1] -= 1 if j > 0 else -1
     if any(c % 2 for c in total):
         raise ConfigError("positive-root sum is odd")
     return tuple(c // 2 for c in total)

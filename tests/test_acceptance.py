@@ -38,10 +38,10 @@ def test_criterion_02_alcove_enumerations():
     ok = True
     for n in range(1, 5):
         for k in range(1, n + 1):
-            for records in (verify._check_mountain_theta(n, k),
-                            verify._check_mountain_gamma(n, k),
-                            verify._check_staircase_gamma(n, k)):
-                ok = ok and all(r[1] for r in records)
+            for record in (verify._check_mountain_theta(n, k),
+                           verify._check_mountain_gamma(n, k),
+                           verify._check_staircase_gamma(n, k)):
+                ok = ok and record[1]
     report("02 alcove model listings with end and down values", ok)
 
 

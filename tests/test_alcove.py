@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from qkc.alcove import (
-    AdmissibleSubset,
     a_filtered,
     admissible_subsets,
     gamma_seq,
@@ -49,7 +48,7 @@ def test_sequence_shapes():
 
 def test_gamma_ordering():
     n, k = 4, 2
-    labels = [root.pair_label() for _, root in gamma_seq(n, k).entries]
+    labels = [(root.i, root.j) for root in gamma_seq(n, k)]
     assert labels == [(1, -2), (2, -3), (2, -4), (2, -2), (2, 4), (2, 3)]
 
 
@@ -72,10 +71,9 @@ def test_mountain_theta_listing():
                 assert [a.positions for a in fam] == [()]
                 continue
             assert len(fam) == 2
-            label = fam[1].labels()
-            assert label == ((True, theta_seq(n, k).absolute(k - 2)),)
-            assert fam[1].sequence.absolute(fam[1].positions[0]).pair_label() \
-                == (k - 1, k)
+            assert fam[1].positions == (k - 2,)
+            root = fam[1].sequence[fam[1].positions[0]]
+            assert (root.i, root.j) == (k - 1, k)
             assert fam[1].end == mountain(n, k - 1)
 
 
@@ -86,8 +84,7 @@ def test_mountain_gamma_listing():
             fam = admissible_subsets(w, gamma_seq(n, k))
             got = {a.positions: a for a in fam}
             seq = gamma_seq(n, k)
-            idx = {root.pair_label(): p
-                   for p, (_, root) in enumerate(seq.entries)}
+            idx = {(root.i, root.j): p for p, root in enumerate(seq)}
             long_p = idx[(k, -k)]
             if k < n:
                 next_p = idx[(k, k + 1)]
@@ -113,9 +110,10 @@ def test_staircase_gamma_listing():
             assert len(fam) == 2
             a = fam[1]
             label = (j, j + 1) if j < n else (n, -n)
-            assert a.sequence.absolute(a.positions[0]).pair_label() == label
+            root = a.sequence[a.positions[0]]
+            assert (root.i, root.j) == label
             assert a.end == staircase(n, j)
-            assert a.path[0][2] == "B" and a.down == (0,) * n
+            assert edge_by_length(w, root) == "B" and a.down == (0,) * n
 
 
 def test_paths_revalidate_and_down_nonnegative():
@@ -123,14 +121,16 @@ def test_paths_revalidate_and_down_nonnegative():
     for w in enumerate_group(n):
         for seq in (theta_seq(n, 3), gamma_seq(n, 2)):
             for a in admissible_subsets(w, seq):
+                assert list(a.positions) == sorted(set(a.positions))
                 current = w
                 downs = []
-                for vertex, root, kind in a.path:
-                    assert vertex == current
-                    assert edge_by_length(current, root) == kind
+                for p in a.positions:
+                    root = seq[p]
+                    kind = edge_by_length(current, root)
+                    assert kind is not None
                     if kind == "Q":
-                        downs.append(root.coroot())
-                    current = current * root.reflection()
+                        downs.append(root.coroot)
+                    current = current * root.reflection
                 assert current == a.end
                 assert coroot_sum(n, downs) == a.down
                 assert all(c >= 0 for c in a.down)
@@ -182,16 +182,17 @@ def test_a_filtered_against_bruteforce():
             for l in universe:
                 target = tuple((1 if l > 0 else -1) if t == abs(l) - 1 else 0
                                for t in range(n))
-                brute = [a for a in fam if a.positions
+                brute = [(a.positions, a.end) for a in fam if a.positions
                          and a.end.inverse().act_weight(moved) == target]
-                assert a_filtered(w, source, l) == brute
+                assert [(a.positions, a.end)
+                        for a in a_filtered(w, source, l)] == brute
 
 
 def test_a_filtered_mountain_example():
     n, k = 3, 1
     w = mountain(n, k)
     fam = a_filtered(w, -k, -(k + 1))
-    singles = [a for a in fam if a.size() == 1
-               and a.sequence.absolute(a.positions[0]).pair_label() == (k, k + 1)]
+    singles = [a for a in fam if [(a.sequence[p].i, a.sequence[p].j)
+                                  for p in a.positions] == [(k, k + 1)]]
     assert len(singles) == 1
     assert singles[0].end == mountain(n, k + 1)

@@ -1,7 +1,6 @@
 import json
 
 from qkc.qbg import (
-    QbgEdge,
     build_graph,
     edge_by_length,
     edge_by_pattern,
@@ -21,14 +20,14 @@ def test_simple_reflection_from_identity_is_bruhat():
     n = 3
     e = SignedPerm.identity(n)
     for i in range(1, n):
-        assert edge_by_length(e, RootC(n, "minus", i, i + 1)) == "B"
-    assert edge_by_length(e, RootC(n, "long", n, n)) == "B"
+        assert edge_by_length(e, RootC(n, i, i + 1)) == "B"
+    assert edge_by_length(e, RootC(n, n, -n)) == "B"
 
 
 def test_rank_one_quantum_edge():
     n = 1
     s1 = SignedPerm.simple(n, 1)
-    root = RootC(n, "long", 1, 1)
+    root = RootC(n, 1, -1)
     assert edge_by_length(s1, root) == "Q"
     assert edge_by_pattern(s1, root) == "Q"
 
@@ -39,14 +38,14 @@ def test_mountain_edge_exists():
         w = SignedPerm.identity(n)
         for i in list(range(1, n + 1)) + list(range(n - 1, k - 1, -1)):
             w = w * SignedPerm.simple(n, i)
-        assert edge_by_length(w, RootC(n, "minus", k - 1, k)) is not None
+        assert edge_by_length(w, RootC(n, k - 1, k)) is not None
 
 
 def test_quantum_case_vacuous_intermediate():
     # (i, i+1) roots have an empty intermediate range, so the quantum
     # condition reduces to w(i) > w(i+1) plus the length drop.
     n = 2
-    root = RootC(n, "minus", 1, 2)
+    root = RootC(n, 1, 2)
     for w in enumerate_group(n):
         assert edge_by_pattern(w, root) == edge_by_length(w, root)
 
@@ -60,6 +59,24 @@ def test_pattern_equals_length_up_to_rank_three():
                     (w.render(), root.render())
 
 
+def test_routes_are_independent(monkeypatch):
+    # each route classifies every pair of W(C_3) x roots with the other
+    # route's ingredient broken, and the two still agree
+    n = 3
+    pairs = [(w, root) for w in enumerate_group(n) for root in positive_roots(n)]
+    expect = [edge_by_length(w, root) for w, root in pairs]
+
+    def broken(*args):
+        raise AssertionError("route reached the other route's ingredient")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SignedPerm, "length", broken)
+        assert [edge_by_pattern(w, root) for w, root in pairs] == expect
+    with monkeypatch.context() as patch:
+        patch.setattr("qkc.qbg.order_key", broken)
+        assert [edge_by_length(w, root) for w, root in pairs] == expect
+
+
 def test_rank_one_graph():
     edges = build_graph(1)
     assert len(edges) == 2
@@ -69,11 +86,11 @@ def test_rank_one_graph():
 
 def test_bruhat_orientation_unique_for_simple_roots():
     n = 3
-    simples = [RootC(n, "minus", i, i + 1) for i in range(1, n)] + \
-        [RootC(n, "long", n, n)]
+    simples = [RootC(n, i, i + 1) for i in range(1, n)] + \
+        [RootC(n, n, -n)]
     for w in enumerate_group(n):
         for root in simples:
-            ws = w * root.reflection()
+            ws = w * root.reflection
             fwd = edge_by_length(w, root) == "B"
             back = edge_by_length(ws, root) == "B"
             assert fwd != back
@@ -85,16 +102,17 @@ def test_quantum_length_drop_formula():
     for e in build_graph(n):
         if e.kind == "Q":
             drop = e.source.length() - e.target.length()
-            assert drop == 2 * pairing(rho, e.root.coroot()) - 1
+            assert drop == 2 * pairing(rho, e.root.coroot) - 1
 
 
 def test_graph_matches_bruteforce_n2():
     n = 2
     edges = build_graph(n)
-    brute = [QbgEdge(w, root, w * root.reflection(), kind)
+    brute = [(w, (root.i, root.j), w * root.reflection, kind)
              for w in enumerate_group(n) for root in positive_roots(n)
              for kind in [edge_by_pattern(w, root)] if kind is not None]
-    assert edges == brute
+    assert [(e.source, (e.root.i, e.root.j), e.target, e.kind)
+            for e in edges] == brute
     assert len({e.source for e in edges}) == 8
 
 

@@ -36,9 +36,9 @@ def test_packed_term_map_stays_in_rings():
         assert not uses, (path.name, uses)
 
 
-# Public top-level functions that nothing in the package calls, each kept
-# for a reason the tests rely on.  Anything else no module uses is API
-# that only tests reach, and goes.
+# Public top-level functions and public methods that nothing in the
+# package calls, each kept for a reason the tests rely on.  Anything else
+# no module uses is API that only tests reach, and goes.
 UNCALLED_BY_DESIGN = {
     # the independent oracle the tests compare the closed-form D_i with
     "demazure_D_fraction",
@@ -59,7 +59,11 @@ def test_every_public_function_is_used_or_allowlisted():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = {node.name for tree in trees.values() for node in tree.body
+    # top-level functions and the methods of top-level classes
+    defs = [node for tree in trees.values() for node in tree.body]
+    defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
+             for node in cls.body]
+    unused = {node.name for node in defs
               if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_") and node.name not in used}
     assert unused == UNCALLED_BY_DESIGN

@@ -14,7 +14,6 @@ from qkc.weylc import (
     pairing,
     positive_roots,
     rho_vector,
-    root_from_label,
     simple_root_weight,
 )
 
@@ -45,15 +44,15 @@ def test_group_axioms_small():
 
 def test_long_reflection_case_table():
     n = 3
-    s = RootC(n, "long", 2, 2).reflection()
+    s = RootC(n, 2, -2).reflection
     assert s.act(2) == -2 and s.act(-2) == 2
     assert s.act(1) == 1 and s.act(3) == 3
     # (i, jbar) case table
-    t = RootC(n, "plus", 1, 3).reflection()
+    t = RootC(n, 1, -3).reflection
     assert t.act(1) == -3 and t.act(3) == -1
     assert t.act(-1) == 3 and t.act(-3) == 1
     # (i, j) case table
-    u = RootC(n, "minus", 1, 2).reflection()
+    u = RootC(n, 1, 2).reflection
     assert u.act(1) == 2 and u.act(-1) == -2
 
 
@@ -98,27 +97,45 @@ def test_cartan_matrix_from_pairing():
 def test_coroot_pairings():
     n = 4
     for root in positive_roots(n):
-        cv = root.coroot()
-        w = root.weight()
+        cv = root.coroot
+        w = root.weight
         assert pairing(w, cv) == 2
         # <eps_k, alpha^vee> values determine the coroot; cross-check the
-        # three families against their eps-coordinate coroots.
+        # three families against their eps-coordinate coroots, read off
+        # the label (i, j): eps_i - eps_j, or eps_i for the long root.
         eps_pair = [pairing(tuple(1 if t == k else 0 for t in range(n)), cv)
                     for k in range(n)]
+        i, j = root.i, root.j
         expect = [0] * n
-        if root.kind == "long":
-            expect[root.i - 1] = 1
-        else:
-            expect[root.i - 1] = 1
-            expect[root.j - 1] = -1 if root.kind == "minus" else 1
+        expect[i - 1] = 1
+        if j > 0:
+            expect[j - 1] = -1
+        elif j != -i:
+            expect[-j - 1] = 1
         assert eps_pair == expect
 
 
-def test_root_from_label():
-    n = 3
-    assert root_from_label(n, 1, 2).kind == "minus"
-    assert root_from_label(n, 2, -3).kind == "plus"
-    assert root_from_label(n, 2, -2).kind == "long"
+def test_root_labels_are_exactly_the_canonical_ones():
+    # (i, j) with i < j, (i, jbar) with i < j, and the long (i, ibar)
+    for n in range(1, 5):
+        signed = range(-n - 1, n + 2)
+        accepted = set()
+        for i in signed:
+            for j in signed:
+                try:
+                    RootC(n, i, j)
+                except ConfigError:
+                    continue
+                accepted.add((i, j))
+        canonical = {(i, s * j) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1) for s in (1, -1)}
+        canonical |= {(i, -i) for i in range(1, n + 1)}
+        assert accepted == canonical
+        assert len(accepted) == n * n
+        assert {(r.i, r.j) for r in positive_roots(n)} == canonical
+    for i, j in ((2, 1), (1, 1), (2, -1), (0, 1), (1, 5)):
+        with pytest.raises(ConfigError):
+            RootC(3, i, j)
 
 
 def test_demazure_examples():
@@ -164,7 +181,7 @@ def root_count_length(w):
     """Reference length: the positive roots that w sends to negative roots."""
     count = 0
     for root in positive_roots(w.n):
-        v = w.act_weight(root.weight())
+        v = w.act_weight(root.weight)
         for c in v:
             if c > 0:
                 break
@@ -216,7 +233,7 @@ def test_positive_roots_are_a_tuple_of_n_squared_roots():
     for n in range(1, 7):
         roots = positive_roots(n)
         assert isinstance(roots, tuple)
-        assert len(roots) == len(set(roots)) == n * n
+        assert len(roots) == len({(r.i, r.j) for r in roots}) == n * n
 
 
 def test_window_parse_render():
