@@ -1,6 +1,5 @@
-"""Quantum alcove model: the root sequences Theta_k and Gamma_k(k),
-admissible subsets with end/down statistics, decreasing chains S_{m,j},
-and the end-filtered families used by the inverse Chevalley evaluator.
+"""Quantum alcove model: the root sequences Theta_k and Gamma_k(k) and
+their admissible subsets with end/down statistics.
 
 Every entry of Theta_k and Gamma_k(k) is a negated root, so a sequence is
 the tuple of those roots (built once per rank and k), and a subset is the
@@ -10,11 +9,10 @@ tuple of positions it picks from it.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .rings import ConfigError
 from .qbg import edge_by_length
-from .weylc import RootC, _eps, coroot_sum, order_key, universe
+from .weylc import RootC, coroot_sum
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,35 +76,3 @@ def admissible_subsets(w, seq):
     out.sort(key=lambda a: (len(a.positions), a.positions))
     return out
 
-
-def s_chains(n, m, j):
-    """S_{m,j}: all strictly decreasing chains m > j_1 > ... > j_r = j
-    in the [1,1bar] order, for signed elements m, j with j < m."""
-    km, kj = order_key(n, m), order_key(n, j)
-    if not kj < km:
-        raise ConfigError("need j < m in the [1,1bar] order")
-    between = [x for x in universe(n) if kj < order_key(n, x) < km]
-    chains = []
-    for r in range(len(between) + 1):
-        for subset in itertools.combinations(between, r):
-            chain = sorted(subset, key=lambda x: -order_key(n, x))
-            chains.append(tuple(chain) + (j,))
-    chains.sort(key=lambda c: (len(c), tuple(order_key(n, x) for x in c)))
-    return chains
-
-
-def a_filtered(w, source, l):
-    """The family A_w^{source, l} (source and l signed; barred source means
-    the Gamma sequence): nonempty admissible subsets A with
-    ed(A)^{-1} w eps_source = eps_l."""
-    n = w.n
-    seq = theta_seq(n, source) if source > 0 else gamma_seq(n, -source)
-    target = _eps(n, l)
-    moved = w.act_weight(_eps(n, source))
-    out = []
-    for a in admissible_subsets(w, seq):
-        if not a.positions:
-            continue
-        if a.end.inverse().act_weight(moved) == target:
-            out.append(a)
-    return out

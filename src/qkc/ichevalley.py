@@ -1,9 +1,12 @@
 """Inverse Chevalley evaluator.
 
 Expands e^{-w(eps_m)} [O(w)] into twisted classes [O(x t_xi)(lambda)] with
-coefficients in Z[q^{+-1}], by summing over admissible subsets and
-decreasing chains; includes the staircase/mountain closed forms and the
-cancellation bookkeeping that links the general evaluator to them.
+coefficients in Z[q^{+-1}].  One depth-first walk visits the strictly
+decreasing chains mbar > j_1 > ... > j_r in the [1,1bar] order together
+with their tuples of admissible subsets, listing each node's subsets once,
+and every node adds one block.  The module also holds the
+staircase/mountain closed forms and the cancellation bookkeeping that
+links the general evaluator to them.
 
 No command reaches `ic1_data`, `ic2_data`, `derive_recurrence` and the
 `ic_lhs`, `SemiClassSum.tensor`, `QExtElement.from_group` and
@@ -14,11 +17,9 @@ inverse Chevalley formulas.
 
 from __future__ import annotations
 
-import itertools
-
-from .alcove import a_filtered, admissible_subsets, gamma_seq, s_chains, theta_seq
+from .alcove import admissible_subsets, gamma_seq, theta_seq
 from .rings import ConfigError, KeyedSum, QExtElement
-from .weylc import SignedPerm, _alpha_range, _eps, coroot_sum, pairing
+from .weylc import SignedPerm, _alpha_range, _eps, coroot_sum, order_key, pairing
 
 
 class SemiClassSum(KeyedSum):
@@ -89,59 +90,53 @@ def mountain(n, k):
     return w
 
 
-def _chain_tuples(w, source, chain):
-    """All tuples (A_1, ..., A_r) with A_1 in A_w^{source, j_1} and
-    A_t in A_{ed(A_{t-1})}^{j_{t-1}, j_t}.  Yields (A-list, end, down, size)."""
+def _seq(n, s):
+    """Theta_s for s > 0, Gamma_|s| for a barred s."""
+    return theta_seq(n, s) if s > 0 else gamma_seq(n, -s)
+
+
+def _chain_blocks(w, m):
+    """Walk the chains mbar > j_1 > ... > j_r in the [1,1bar] order with
+    their tuples (A_1, ..., A_r), A_1 in A_w^{mbar, j_1} and A_t in
+    A_{ed(A_{t-1})}^{j_{t-1}, j_t}, depth first.
+
+    A node (base, prev) is the end of the last A (w at the root) and the
+    last chain element (mbar at the root).  Each admissible subset A of
+    _seq(prev) from base leads to l = ed(A)^{-1} base(prev), a child when
+    l is below prev; the empty subset gives l = prev and never is.  Every
+    node yields (chain, A-list, block): the B-sum over A(base, _seq(-prev))
+    with twist eps_prev, q-exponent <eps_prev, down> and sign
+    (-1)^(size - len(chain)), where down and size add up the A-list's
+    down vectors and lengths.
+    """
     n = w.n
 
-    def rec(base, prev, rest):
-        if not rest:
-            yield [], base, (0,) * n, 0
-            return
-        head, tail = rest[0], rest[1:]
-        for a in a_filtered(base, prev, head):
-            for suffix, end, down, size in rec(a.end, head, tail):
-                yield ([a] + suffix, end,
-                       coroot_sum(n, [a.down, down]), size + len(a.positions))
+    def walk(base, prev, chain, alist, down, size):
+        twist = _eps(n, prev)
+        sign = (-1) ** (size - len(chain))
+        qexp = pairing(twist, down)
+        yield chain, alist, SemiClassSum.sum_of(n, (
+            SemiClassSum.basis(
+                b.end, coroot_sum(n, [down, b.down]), twist,
+                coeff=sign * (-1) ** len(b.positions), qexp=qexp)
+            for b in admissible_subsets(base, _seq(n, -prev))))
+        moved, here = base.act(prev), order_key(n, prev)
+        for a in admissible_subsets(base, _seq(n, prev)):
+            l = a.end.inverse().act(moved)
+            if order_key(n, l) < here:
+                yield from walk(a.end, l, chain + (l,), alist + [a],
+                                coroot_sum(n, [down, a.down]),
+                                size + len(a.positions))
 
-    yield from rec(w, source, list(chain))
-
-
-def _chain_blocks(w, m, j, barred):
-    """Yield (chain, A-list, block) for every chain tuple from -m to j, or
-    to jbar when barred.  The block is the B-sum over A(end, Gamma_j) with
-    twist +eps_j and q-exponent <eps_j, down>; barred targets use Theta_j,
-    twist -eps_j and the negative q-exponent."""
-    n = w.n
-    seq = theta_seq(n, j) if barred else gamma_seq(n, j)
-    lam = _eps(n, j, -1 if barred else 1)
-    for chain in s_chains(n, -m, -j if barred else j):
-        for alist, end, down, size in _chain_tuples(w, -m, chain):
-            sign = (-1) ** (size - len(chain))
-            qexp = pairing(_eps(n, j), down) * (-1 if barred else 1)
-            block = SemiClassSum.sum_of(n, (
-                SemiClassSum.basis(
-                    b.end, coroot_sum(n, [down, b.down]), lam,
-                    coeff=sign * (-1) ** len(b.positions), qexp=qexp)
-                for b in admissible_subsets(end, seq)))
-            yield chain, alist, block
+    yield from walk(w, -m, (), [], (0,) * n, 0)
 
 
 def inverse_chevalley(w, m):
     """The right-hand side of the expansion of e^{-w(eps_m)} [O(w)]."""
-    n = w.n
-    if not 1 <= m <= n:
+    if not 1 <= m <= w.n:
         raise ConfigError("m out of range")
-    # first block: B-sum over A(w, Theta_m), twist -eps_m
-    first = (SemiClassSum.basis(b.end, b.down, _eps(n, m, -1),
-                                coeff=(-1) ** len(b.positions))
-             for b in admissible_subsets(w, theta_seq(n, m)))
-    # chain blocks; barred targets only beyond m
-    blocks = (block
-              for j in range(1, n + 1)
-              for barred in (True, False) if not (barred and j <= m)
-              for _, _, block in _chain_blocks(w, m, j, barred))
-    return SemiClassSum.sum_of(n, itertools.chain(first, blocks))
+    return SemiClassSum.sum_of(
+        w.n, (block for _, _, block in _chain_blocks(w, m)))
 
 
 def ic_lhs(w, m):
@@ -204,12 +199,10 @@ def cancellation_report(n, k):
     that cannot be matched or does not cancel makes the check false, and
     the first such pair is named under "location".
     """
-    w = mountain(n, k)
-    contributions = []  # (j, chain, A-labels, term)
-    for j in range(1, n + 1):
-        for chain, alist, block in _chain_blocks(w, k, j, False):
-            labels = tuple(a.render() for a in alist)
-            contributions.append((j, chain, labels, block))
+    contributions = [  # (j, chain, A-labels, term)
+        (chain[-1], chain, tuple(a.render() for a in alist), block)
+        for chain, alist, block in _chain_blocks(mountain(n, k), k)
+        if chain and chain[-1] > 0]
 
     def expected_chain(j, l, family):
         """The chain tuple for the two proof families: the barred run goes

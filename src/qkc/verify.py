@@ -165,19 +165,15 @@ def _suite_relations(n, trunc):
 def _check_phi_theta_psi(n, trunc):
     degree = trunc if trunc is not None else 2 * n + 2
     pool = semimod.universe(n)
-    for size in range(len(pool) + 1):
-        for I in itertools.combinations(pool, size):
-            for j in pool:
-                psi_val = semimod.psi(n, I, j, degree)
-                prod = (semimod.phi(n, I, j, degree)
-                        * semimod.theta_sinf(n, I, j, degree))
-                exact = (semimod.phi(n, I, j)
-                         * semimod.theta_sinf(n, I, j)
-                         == semimod.psi(n, I, j))
-                if prod != psi_val or not exact:
-                    return [("phi-theta-equals-psi", False,
-                             "I=%s j=%s" % (I, j))]
-    return [("phi-theta-equals-psi", True, "")]
+    return _sweep("phi-theta-equals-psi", (
+        "I=%s j=%s" % (I, j)
+        for size in range(len(pool) + 1)
+        for I in itertools.combinations(pool, size)
+        for j in pool
+        if semimod.phi(n, I, j, degree) * semimod.theta_sinf(n, I, j, degree)
+        != semimod.psi(n, I, j, degree)
+        or semimod.phi(n, I, j) * semimod.theta_sinf(n, I, j)
+        != semimod.psi(n, I, j)))
 
 
 def _suite_qkpres(n, trunc):
@@ -188,7 +184,7 @@ def _suite_qkpres(n, trunc):
     yield _sweep("zeta-eta-equals-phi", (
         cid for cid, ok, _ in qkpres.check_coefficient_factorization(n, trunc)
         if not ok))
-    yield from _check_phi_theta_psi(n, trunc)
+    yield _check_phi_theta_psi(n, trunc)
     yield _sweep("dictionary-f-to-module", (
         "l=%d" % l for l in range(2 * n + 1) if not matches(l)))
     yield _sweep("dictionary-variants", (

@@ -1,17 +1,9 @@
-import itertools
-
 import pytest
 
-from qkc.alcove import (
-    a_filtered,
-    admissible_subsets,
-    gamma_seq,
-    s_chains,
-    theta_seq,
-)
+from qkc.alcove import admissible_subsets, gamma_seq, theta_seq
 from qkc.qbg import edge_by_length
 from qkc.rings import ConfigError
-from qkc.weylc import SignedPerm, coroot_sum, enumerate_group, order_key
+from qkc.weylc import SignedPerm, coroot_sum, enumerate_group
 
 
 def mountain(n, k):
@@ -145,54 +137,3 @@ def test_prefix_closed():
                 if positions:
                     assert positions[:-1] in fam
 
-
-def test_s_chains():
-    n = 3
-    assert s_chains(n, 2, 1) == [(1,)]
-    # |S_{m,j}| = 2^{d-1}, d = #{x : j <= x < m}
-    universe = list(range(1, n + 1)) + [-t for t in range(n, 0, -1)]
-    for m in universe:
-        for j in universe:
-            if order_key(n, j) >= order_key(n, m):
-                continue
-            d = sum(1 for x in universe
-                    if order_key(n, j) <= order_key(n, x) < order_key(n, m))
-            chains = s_chains(n, m, j)
-            assert len(chains) == 2 ** (d - 1)
-            assert len(set(chains)) == len(chains)
-            for c in chains:
-                keys = [order_key(n, x) for x in c]
-                assert keys == sorted(keys, reverse=True)
-                assert c[-1] == j and keys[0] < order_key(n, m)
-    # the chain used in the second-sum derivation: (k+1bar, ..., jbar)
-    k, j = 1, 3
-    assert (-2, -3) in s_chains(n, -k, -j)
-
-
-def test_a_filtered_against_bruteforce():
-    n = 2
-    universe = [1, 2, -2, -1]
-    for w in enumerate_group(n):
-        for source in universe:
-            seq = theta_seq(n, source) if source > 0 else gamma_seq(n, -source)
-            fam = admissible_subsets(w, seq)
-            moved = w.act_weight(
-                tuple((1 if source > 0 else -1) if t == abs(source) - 1 else 0
-                      for t in range(n)))
-            for l in universe:
-                target = tuple((1 if l > 0 else -1) if t == abs(l) - 1 else 0
-                               for t in range(n))
-                brute = [(a.positions, a.end) for a in fam if a.positions
-                         and a.end.inverse().act_weight(moved) == target]
-                assert [(a.positions, a.end)
-                        for a in a_filtered(w, source, l)] == brute
-
-
-def test_a_filtered_mountain_example():
-    n, k = 3, 1
-    w = mountain(n, k)
-    fam = a_filtered(w, -k, -(k + 1))
-    singles = [a for a in fam if [(a.sequence[p].i, a.sequence[p].j)
-                                  for p in a.positions] == [(k, k + 1)]]
-    assert len(singles) == 1
-    assert singles[0].end == mountain(n, k + 1)

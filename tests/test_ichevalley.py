@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 
+from qkc import ichevalley
+from qkc.alcove import admissible_subsets, gamma_seq, theta_seq
 from qkc.ichevalley import (
     SemiClassSum,
+    _chain_blocks,
     cancellation_report,
     derive_recurrence,
     ic1_data,
@@ -13,7 +18,14 @@ from qkc.ichevalley import (
     staircase,
 )
 from qkc.rings import ConfigError, QExtElement
-from qkc.weylc import SignedPerm
+from qkc.weylc import (
+    SignedPerm,
+    coroot_sum,
+    enumerate_group,
+    order_key,
+    pairing,
+    universe,
+)
 
 
 def alpha_range(n, a, b):
@@ -22,6 +34,102 @@ def alpha_range(n, a, b):
 
 def eps(n, j, sign=1):
     return tuple(sign if t == j - 1 else 0 for t in range(n))
+
+
+def signed_eps(n, x):
+    return eps(n, abs(x), 1 if x > 0 else -1)
+
+
+def brute_force_tuples(w, m):
+    """(chain, A-list, end, down, size) for every chain mbar > j_1 > ... > j_r
+    and tuple A_t in A_{ed(A_{t-1})}^{j_{t-1}, j_t}, from the definition:
+    chains are combinations of the elements below mbar, and each family is
+    A(base, seq) filtered by ed(A)^{-1} base eps_{j_{t-1}} = eps_{j_t}."""
+    n = w.n
+    below = [x for x in universe(n) if order_key(n, x) < order_key(n, -m)]
+    out = []
+
+    def tuples(base, prev, rest, alist):
+        if not rest:
+            down = coroot_sum(n, [a.down for a in alist])
+            size = sum(len(a.positions) for a in alist)
+            yield alist, base, down, size
+            return
+        seq = theta_seq(n, prev) if prev > 0 else gamma_seq(n, -prev)
+        moved = base.act_weight(signed_eps(n, prev))
+        for a in admissible_subsets(base, seq):
+            if a.positions and (a.end.inverse().act_weight(moved)
+                                == signed_eps(n, rest[0])):
+                yield from tuples(a.end, rest[0], rest[1:], alist + [a])
+
+    for r in range(1, len(below) + 1):
+        for subset in itertools.combinations(below, r):
+            chain = tuple(sorted(subset, key=lambda x: -order_key(n, x)))
+            for alist, end, down, size in tuples(w, -m, chain, []):
+                out.append((chain, alist, end, down, size))
+    return out
+
+
+def test_chain_walk_matches_the_definition():
+    for n in range(1, 4):
+        for w in enumerate_group(n):
+            for m in range(1, n + 1):
+                got = [(chain, tuple(a.positions for a in alist))
+                       for chain, alist, _ in _chain_blocks(w, m) if chain]
+                assert len(got) == len(set(got)), (w, m)
+                brute = {(chain, tuple(a.positions for a in alist))
+                         for chain, alist, _, _, _ in brute_force_tuples(w, m)}
+                assert set(got) == brute, (w, m)
+
+
+def test_evaluator_matches_blocks_from_the_definition():
+    for n in range(1, 4):
+        for w in enumerate_group(n):
+            for m in range(1, n + 1):
+                # first block: B-sum over A(w, Theta_m), twist -eps_m
+                parts = [SemiClassSum.basis(b.end, b.down, eps(n, m, -1),
+                                            coeff=(-1) ** len(b.positions))
+                         for b in admissible_subsets(w, theta_seq(n, m))]
+                # per-(j, barred) blocks: Theta_j and -eps_j for a barred
+                # target jbar, Gamma_j and +eps_j for an unbarred one
+                for chain, _, end, down, size in brute_force_tuples(w, m):
+                    j, barred = abs(chain[-1]), chain[-1] < 0
+                    seq = theta_seq(n, j) if barred else gamma_seq(n, j)
+                    sign = (-1) ** (size - len(chain))
+                    qexp = pairing(eps(n, j), down) * (-1 if barred else 1)
+                    parts.extend(
+                        SemiClassSum.basis(
+                            b.end, coroot_sum(n, [down, b.down]),
+                            eps(n, j, -1 if barred else 1),
+                            coeff=sign * (-1) ** len(b.positions), qexp=qexp)
+                        for b in admissible_subsets(end, seq))
+                expect = SemiClassSum.sum_of(n, parts)
+                assert inverse_chevalley(w, m) == expect, (w, m)
+
+
+def test_mountain_step_from_kbar_to_k_plus_one_bar():
+    # A^{kbar, k+1bar} from mountain(k) has one single {-(k, k+1)}, and it
+    # ends at mountain(k+1)
+    n, k = 3, 1
+    singles = [alist[0].end for chain, alist, _ in _chain_blocks(mountain(n, k), k)
+               if chain == (-(k + 1),)
+               and [(alist[0].sequence[p].i, alist[0].sequence[p].j)
+                    for p in alist[0].positions] == [(k, k + 1)]]
+    assert singles == [mountain(n, k + 1)]
+
+
+def test_each_node_lists_its_subsets_once(monkeypatch):
+    w = mountain(4, 1)
+    blocks = sum(1 for _ in _chain_blocks(w, 1))
+    calls = []
+
+    def counted(base, seq):
+        calls.append(1)
+        return admissible_subsets(base, seq)
+
+    monkeypatch.setattr(ichevalley, "admissible_subsets", counted)
+    inverse_chevalley(w, 1)
+    assert len(calls) <= 2 * blocks
 
 
 def test_rank_one_by_hand():
