@@ -1,9 +1,16 @@
 import pytest
 
 from qkc.alcove import admissible_subsets, gamma_seq, theta_seq
+from qkc.ichevalley import _chain_blocks
 from qkc.qbg import edge_by_length
 from qkc.rings import ConfigError
-from qkc.weylc import SignedPerm, coroot_sum, enumerate_group
+from qkc.weylc import (
+    SignedPerm,
+    coroot_sum,
+    enumerate_group,
+    order_key,
+    universe,
+)
 
 
 def mountain(n, k):
@@ -137,3 +144,56 @@ def test_prefix_closed():
                 if positions:
                     assert positions[:-1] in fam
 
+
+def test_s_chains():
+    # the chains S_{mbar,j} the inverse Chevalley walk runs over: over all w
+    # it yields every strictly decreasing chain mbar > j_1 > ... > j, and
+    # |S_{mbar,j}| = 2^{d-1}, d = #{x : j <= x < mbar}
+    for n in range(1, 4):
+        for m in range(1, n + 1):
+            top = order_key(n, -m)
+            chains = set()
+            for w in enumerate_group(n):
+                chains |= {c for c, _, _ in _chain_blocks(w, m) if c}
+            for c in chains:
+                keys = [order_key(n, x) for x in c]
+                assert keys == sorted(keys, reverse=True)
+                assert len(set(keys)) == len(keys) and keys[0] < top
+            for j in universe(n):
+                if order_key(n, j) >= top:
+                    continue
+                d = sum(1 for x in universe(n)
+                        if order_key(n, j) <= order_key(n, x) < top)
+                assert sum(1 for c in chains if c[-1] == j) == 2 ** (d - 1)
+    # the chain used in the second-sum derivation: (k+1bar, ..., jbar)
+    n, k = 3, 1
+    assert (-2, -3) in {c for c, _, _ in _chain_blocks(mountain(n, k), k)}
+
+
+def test_a_filtered_against_bruteforce():
+    # each step of the walk from (base, prev) to l keeps exactly the
+    # non-empty A in A(base, seq(prev)) with ed(A)^{-1} base eps_prev = eps_l
+    def signed_eps(n, x):
+        return tuple((1 if x > 0 else -1) if t == abs(x) - 1 else 0
+                     for t in range(n))
+
+    for n in range(1, 4):
+        for w in enumerate_group(n):
+            for m in range(1, n + 1):
+                nodes = [(chain, alist) for chain, alist, _ in _chain_blocks(w, m)]
+                for chain, alist in nodes:
+                    base = alist[-1].end if alist else w
+                    prev = chain[-1] if chain else -m
+                    seq = theta_seq(n, prev) if prev > 0 else gamma_seq(n, -prev)
+                    moved = base.act_weight(signed_eps(n, prev))
+                    fam = admissible_subsets(base, seq)
+                    for l in universe(n):
+                        if order_key(n, l) >= order_key(n, prev):
+                            continue
+                        brute = [(a.positions, a.end) for a in fam if a.positions
+                                 and a.end.inverse().act_weight(moved)
+                                 == signed_eps(n, l)]
+                        walked = [(al[-1].positions, al[-1].end)
+                                  for c, al in nodes
+                                  if c == chain + (l,) and al[:-1] == alist]
+                        assert walked == brute, (w, m, chain, l)
