@@ -67,8 +67,10 @@ def _read_config(path):
             continue
         if "=" not in line:
             raise ConfigError("bad config line: %r" % raw.strip())
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("n", "trunc", "mode", "suites"):
+            raise ConfigError("unknown config key %r" % key)
+        values[key] = value
     return values
 
 

@@ -15,16 +15,6 @@ from .rings import ConfigError
 from .weylc import enumerate_group, order_key, positive_roots, universe
 
 
-class QbgEdge:
-    __slots__ = ("source", "root", "target", "kind")
-
-    def __init__(self, source, root, target, kind):
-        self.source = source
-        self.root = root
-        self.target = target
-        self.kind = kind  # "B" or "Q"
-
-
 def edge_by_length(w, root):
     """Classify w -> w s_root by the length conditions; None if no edge."""
     lw, lt = w.length(), (w * root.reflection).length()
@@ -60,7 +50,8 @@ def edge_by_pattern(w, root):
 
 
 def build_graph(n):
-    """All edges of QBG(W), deterministically ordered."""
+    """All edges of QBG(W) as (source, root, target, kind) tuples, kind
+    "B" or "Q", deterministically ordered."""
     if not 1 <= n <= 4:
         raise ConfigError("full graph build supported for 1 <= n <= 4")
     edges = []
@@ -69,27 +60,26 @@ def build_graph(n):
         for root in roots:
             kind = edge_by_length(w, root)
             if kind is not None:
-                edges.append(QbgEdge(w, root, w * root.reflection, kind))
+                edges.append((w, root, w * root.reflection, kind))
     return edges
 
 
 def export(edges, fmt):
     if fmt == "dot":
         lines = ["digraph qbg {"]
-        for edge in edges:
+        for source, root, target, kind in edges:
             lines.append('  "%s" -> "%s" [label="%s %s"];' % (
-                edge.source.render(), edge.target.render(),
-                edge.root.render(), edge.kind))
+                source.render(), target.render(), root.render(), kind))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        vertices = sorted({e.source.render() for e in edges}
-                          | {e.target.render() for e in edges})
+        vertices = sorted({e[0].render() for e in edges}
+                          | {e[2].render() for e in edges})
         payload = {
             "vertices": vertices,
-            "edges": [{"src": e.source.render(), "root": e.root.render(),
-                       "dst": e.target.render(), "kind": e.kind}
-                      for e in edges],
+            "edges": [{"src": source.render(), "root": root.render(),
+                       "dst": target.render(), "kind": kind}
+                      for source, root, target, kind in edges],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise ConfigError("unknown export format %r" % fmt)

@@ -1,10 +1,11 @@
 """Scalar relation engine.
 
-Relations are vectors of Z[P] coefficients against formal unknowns
-X_0..X_n.  The base relation is refined by a Demazure derivation chain
-(multiply by a monomial, apply D_k, divide exactly), rewritten through
+A relation sum(c_l X_l) = 0 in the formal unknowns X_0..X_n is the
+tuple (c_0, ..., c_n) of its Z[P] coefficients.  The base relation is
+refined by a Demazure derivation chain (multiply by a monomial, apply
+D_k, divide exactly, coefficient by coefficient), rewritten through
 complete symmetric polynomials into a triangular recurrence system, and
-solved; the unique solution is the vector of hyperbolic elementary
+solved; the unique solution is the tuple of hyperbolic elementary
 symmetric polynomials E_0..E_n.  `derivation_chain` walks the chain once,
 each relation derived from the one before.
 
@@ -31,49 +32,9 @@ def _mono(n, exps, coeff=1):
     return GroupRingElement.monomial(n, exps, coeff)
 
 
-class RelationVector:
-    """Coefficients c_0..c_n of a relation sum(c_l * X_l) = 0."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != n + 1:
-            raise ConfigError("relation needs n + 1 coefficients")
-        self.n = n
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, RelationVector)
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def scale(self, c):
-        return RelationVector(self.n, tuple(v * c for v in self.coeffs))
-
-    def demazure(self, i):
-        return RelationVector(
-            self.n, tuple(demazure_D(i, v) for v in self.coeffs))
-
-    def divide(self, d):
-        return RelationVector(
-            self.n, tuple(exact_div(v, d) for v in self.coeffs))
-
-    def evaluate(self, values):
-        """sum(c_l * values[l]); zero certifies that values solve it."""
-        out = GroupRingElement.zero(self.n)
-        for c, v in zip(self.coeffs, values):
-            out = out + c * v
-        return out
-
-    def render(self):
-        parts = []
-        for l, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                parts.append("(%s)*X%d" % (c.render(), l))
-        return (" + ".join(parts) if parts else "0") + " = 0"
-
-    def __repr__(self):
-        return "RelationVector(%r)" % self.render()
+def _scaled(rel, c):
+    """The relation with every coefficient multiplied by c."""
+    return tuple(v * c for v in rel)
 
 
 def base_relation(n):
@@ -86,7 +47,7 @@ def base_relation(n):
         c = _mono(n, _eps(n, 1, -(n - l))) + _mono(n, _eps(n, 1, n - l))
         coeffs.append(c if l % 2 == 0 else -c)
     coeffs.append(GroupRingElement.one(n) * (-1) ** n)
-    return RelationVector(n, coeffs)
+    return tuple(coeffs)
 
 
 def audit_base_rewrite(n):
@@ -99,7 +60,7 @@ def audit_base_rewrite(n):
     for l in range(n):
         folded.append(scaled[l] + scaled[2 * n - l])
     folded.append(scaled[n])
-    return RelationVector(n, folded) == base_relation(n)
+    return tuple(folded) == base_relation(n)
 
 
 def derivation_chain(n):
@@ -111,11 +72,11 @@ def derivation_chain(n):
     rel = base_relation(n)
     for k in range(1, n):
         if k == 2:
-            rel = rel.scale(_mono(n, _eps(n, 1, n)))
+            rel = _scaled(rel, _mono(n, _eps(n, 1, n)))
         ek = _mono(n, _eps(n, k))
         d = ek - _mono(
             n, tuple(2 * a + b for a, b in zip(_eps(n, k), _eps(n, k + 1))))
-        rel = rel.scale(ek).demazure(k).divide(d)
+        rel = tuple(exact_div(demazure_D(k, c * ek), d) for c in rel)
         yield rel
 
 
@@ -127,7 +88,7 @@ def _printed_relation(n, k, shift):
     for l in range(n - k + 1):
         coeffs[l] = (csym_nested_lhs(variables, n - k - l)
                      * _mono(n, shift, (-1) ** l))
-    return RelationVector(n, coeffs)
+    return tuple(coeffs)
 
 
 def secondary_literal(n):
@@ -278,7 +239,7 @@ def system_row(n, k):
         c = (complete_h(n, n - l - k, k + 1)
              - complete_h(n, n - l - k - 2, k + 1))
         coeffs.append(c if l % 2 == 0 else -c)
-    return RelationVector(n, coeffs)
+    return tuple(coeffs)
 
 
 def assemble_system(n):
@@ -298,12 +259,12 @@ def _solve_rows(n, rows):
     values = [GroupRingElement.one(n)] + [None] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        lead = row.coeffs[n - k].monomial_or_none()
+        lead = row[n - k].monomial_or_none()
         if lead is None or lead[0] != (0,) * n or lead[1] not in (1, -1):
             raise SolverError("leading coefficient of row %d is not a unit" % k)
         acc = GroupRingElement.zero(n)
         for l in range(n - k):
-            acc = acc + row.coeffs[l] * values[l]
+            acc = acc + row[l] * values[l]
         values[n - k] = acc * (-lead[1])
     return tuple(values)
 
@@ -334,7 +295,7 @@ def check_system(n):
             cid, literal = ("chain-vs-nested-sum-k%d" % k,
                             system_arbitrary(n, k))
             pref = (-(n - 1),) + (1,) * (k - 1) + (0,) * (n - k)
-        expect.append(literal.scale(_mono(n, pref)))
+        expect.append(_scaled(literal, _mono(n, pref)))
         try:
             ok = fault is None and next(chain) == literal
         except ArithmeticError as exc:
@@ -348,8 +309,10 @@ def check_system(n):
     values = tuple(elementary_E(n, l) for l in range(n + 1))
     yield _record("solution-is-elementary",
                   lambda: _solve_rows(n, rows) == values)
-    yield ("rows-annihilate-elementary",
-           all(row.evaluate(values).is_zero() for row in rows), "")
+    zero = GroupRingElement.zero(n)
+    yield ("rows-annihilate-elementary", all(
+        sum((c * v for c, v in zip(row, values)), zero).is_zero()
+        for row in rows), "")
 
 
 def _t_linear(a, x, bound):

@@ -165,18 +165,6 @@ class SemiModElement(KeyedSum):
             ((w, tuple(a + b for a, b in zip(lam, mu))), v)
             for (w, lam), v in self.terms.items()))
 
-    def shift(self, xi):
-        """Apply T^xi (xi in alpha^vee coordinates)."""
-        mono = NovikovSeries.monomial(self.n, xi, trunc=self._trunc())
-        return self.scale(mono)
-
-    def _trunc(self):
-        for v in self.terms.values():
-            if isinstance(v, NovikovSeries):
-                return v.trunc
-            return None
-        return None
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0].window, kv[0][1]))
 
@@ -249,31 +237,29 @@ def closed_Q(n, k, trunc=None):
     return _alternating_sum(n, 2 * n - k, "barred", k, trunc)
 
 
-def rec_step_P(n, k, P):
+def rec_step_P(n, k, P, trunc):
     """Right-hand side of the staircase recursion for P_{k+1}, given the
-    list P[0..k]."""
+    list P[0..k] at truncation trunc."""
     e1 = GroupRingElement.monomial(n, _eps(n, 1))
     rhs = P[k].scale(e1).tensor(_eps(n, k + 1, -1)).scale(-1) + P[k]
     for j in range(1, k + 1):
-        xi = _alpha_range(n, j, k)
         mu = tuple(a - b for a, b in zip(_eps(n, j), _eps(n, k + 1)))
-        rhs = rhs + (P[j - 1] - P[j]).shift(xi).tensor(mu)
+        rhs = rhs + (P[j - 1] - P[j]).scale(_t_mono(n, j, k, trunc)).tensor(mu)
     return rhs
 
 
-def rec_step_Q(n, k, P, Q):
+def rec_step_Q(n, k, P, Q, trunc):
     """Right-hand side of the mountain recursion for Q_{k-1}, given the
-    lists P[0..n] and Q[1..n]."""
+    lists P[0..n] and Q[1..n] at truncation trunc."""
     e1 = GroupRingElement.monomial(n, _eps(n, 1))
     rhs = Q[k].scale(e1).tensor(_eps(n, k)).scale(-1) + Q[k]
     for j in range(k + 1, n + 1):
-        xi = _alpha_range(n, k, j - 1)
         mu = tuple(a - b for a, b in zip(_eps(n, k), _eps(n, j)))
-        rhs = rhs + (Q[j] - Q[j - 1]).shift(xi).tensor(mu)
+        t = _t_mono(n, k, j - 1, trunc)
+        rhs = rhs + (Q[j] - Q[j - 1]).scale(t).tensor(mu)
     for j in range(1, k + 1):
-        xi = _alpha_range(n, j, n)
         mu = tuple(a + b for a, b in zip(_eps(n, j), _eps(n, k)))
-        rhs = rhs + (P[j - 1] - P[j]).shift(xi).tensor(mu)
+        rhs = rhs + (P[j - 1] - P[j]).scale(_t_mono(n, j, n, trunc)).tensor(mu)
     return rhs
 
 
@@ -286,17 +272,17 @@ def check_recursion(n, trunc=None):
     P = [closed_P(n, k, trunc) for k in range(n + 1)]
     Q = [None] + [closed_Q(n, k, trunc) for k in range(1, n + 1)]
     for k in range(0, n):
-        ok = P[k + 1] == rec_step_P(n, k, P)
+        ok = P[k + 1] == rec_step_P(n, k, P, trunc)
         ok = ok and (k > 0 or P[0] == SemiModElement.one(n, trunc))
         yield ("rec-staircase-k%d" % k, ok, "")
     yield ("staircase-meets-mountain", P[n] == Q[n], "")
     for k in range(2, n + 1):
-        ok = Q[k - 1] == rec_step_Q(n, k, P, Q)
+        ok = Q[k - 1] == rec_step_Q(n, k, P, Q, trunc)
         yield ("rec-mountain-k%d" % k, ok, "")
     # the k=1 step lands on the full alternating sum (the scalar relation
     # consumed by the relation engine)
     full = _alternating_sum(n, 2 * n, "full", None, trunc)
-    ok = rec_step_Q(n, 1, P, Q) == full
+    ok = rec_step_Q(n, 1, P, Q, trunc) == full
     yield ("rec-mountain-k1-full-sum", ok, "")
 
 

@@ -315,9 +315,9 @@ def _double_the_pivots(monkeypatch):
     original = relations.system_row
 
     def system_row(n, k):
-        coeffs = list(original(n, k).coeffs)
+        coeffs = list(original(n, k))
         coeffs[n - k] = coeffs[n - k] + coeffs[n - k]
-        return relations.RelationVector(n, coeffs)
+        return tuple(coeffs)
 
     monkeypatch.setattr(relations, "system_row", system_row)
 
@@ -425,7 +425,8 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text", [None, "trunc = abc", "n = x", "trunc = -3",
-                                  "suites ="])
+                                  "suites =", "suite = alcove",
+                                  "mdoe = exact"])
 def test_bad_config_is_usage_error(capsys, tmp_path, text):
     cfg = tmp_path / "qkc.cfg"
     if text is not None:
@@ -437,6 +438,10 @@ def test_bad_config_is_usage_error(capsys, tmp_path, text):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+    # a misspelled key is named, not silently ignored
+    key = (text or "").split("=")[0].strip()
+    if key in ("suite", "mdoe"):
+        assert "unknown config key %r" % key in err
 
 
 def test_every_suite_runs_at_rank_two():

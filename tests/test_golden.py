@@ -45,6 +45,13 @@ GOLDEN = [
      "aa1f9d61ac6dcbd026cdf6e60d4ac9cb74026e4cfe2a6656bb89cdec9ba444e3"),
     (["verify", "--n", "5", "--suite", "qbg,alcove,ic", "--json"],
      "e8c7e96dd6b6e15cd66cbafba695acc2a91f1ed3b76f007cf54df4435226e22f"),
+    # rank 5 for the relation tuples and the recursion steps, recorded
+    # before RelationVector and SemiModElement.shift were removed
+    (["verify", "--n", "5", "--suite", "semimod,relations", "--json"],
+     "a5df7e281304c41d3c164b7b76a89f184ee310d167a7b18ed07ea5e0512d88a1"),
+    (["verify", "--n", "5", "--suite", "semimod,relations", "--json",
+      "--mode", "exact"],
+     "cc2ade006528821dc9ca190b907e5512aefebd24ea9e5806ea2e21b7133fa261"),
     # recorded before build_graph lost its classifier argument
     (["qbg", "export", "--n", "2", "--format", "dot"],
      "6be14fcda25795fa6998d1ee53349d1357e5d19f7f6f95f63377742506915b8f"),

@@ -80,7 +80,7 @@ def test_routes_are_independent(monkeypatch):
 def test_rank_one_graph():
     edges = build_graph(1)
     assert len(edges) == 2
-    kinds = {(e.source.window, e.kind) for e in edges}
+    kinds = {(source.window, kind) for source, _, _, kind in edges}
     assert kinds == {((1,), "B"), ((-1,), "Q")}
 
 
@@ -99,10 +99,10 @@ def test_bruhat_orientation_unique_for_simple_roots():
 def test_quantum_length_drop_formula():
     n = 3
     rho = rho_vector(n)
-    for e in build_graph(n):
-        if e.kind == "Q":
-            drop = e.source.length() - e.target.length()
-            assert drop == 2 * pairing(rho, e.root.coroot) - 1
+    for source, root, target, kind in build_graph(n):
+        if kind == "Q":
+            drop = source.length() - target.length()
+            assert drop == 2 * pairing(rho, root.coroot) - 1
 
 
 def test_graph_matches_bruteforce_n2():
@@ -111,9 +111,9 @@ def test_graph_matches_bruteforce_n2():
     brute = [(w, (root.i, root.j), w * root.reflection, kind)
              for w in enumerate_group(n) for root in positive_roots(n)
              for kind in [edge_by_pattern(w, root)] if kind is not None]
-    assert [(e.source, (e.root.i, e.root.j), e.target, e.kind)
-            for e in edges] == brute
-    assert len({e.source for e in edges}) == 8
+    assert [(source, (root.i, root.j), target, kind)
+            for source, root, target, kind in edges] == brute
+    assert len({source for source, _, _, _ in edges}) == 8
 
 
 def test_export_formats():
