@@ -7,7 +7,12 @@ polynomials, and the translation map into the semi-infinite module.
 
 zeta and eta read the index set I only through `semimod._case`, and
 their values, like the factors `_z_factor` of the translation map, are
-built once per small-int key and shared.
+built once per small-int key and shared.  `f_poly` asks `zeta` for every
+factor and multiplies them through `rings.product`, once per sequence of
+factor objects, and `factorization_holds` asks zeta, eta and phi for
+every position and decides zeta * eta = phi once per triple of returned
+objects.  Neither keeps a table keyed by I, so a coefficient function
+changed after a run is still read at the next one.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .rings import (
     NovikovFraction,
     NovikovSeries,
     ZLaurentElement,
+    identity_memo,
+    product,
 )
 from .semimod import (
     SemiModElement,
@@ -84,9 +91,15 @@ def _eta(n, j, case, trunc):
     return out
 
 
+@identity_memo
+def _factors_to(zeta_j, eta_j, phi_j):
+    return zeta_j * eta_j == phi_j
+
+
 def factorization_holds(n, I, trunc=None):
     """zeta * eta = phi at every position of [1,1bar] for the index set I."""
-    return all(zeta(n, I, j, trunc) * eta(n, I, j, trunc) == phi(n, I, j, trunc)
+    return all(_factors_to(zeta(n, I, j, trunc), eta(n, I, j, trunc),
+                           phi(n, I, j, trunc))
                for j in universe(n))
 
 
@@ -103,13 +116,10 @@ def check_coefficient_factorization(n, trunc=None):
 def f_poly(n, l, variant="full", k=None, trunc=None):
     """F_l (or its upper/barred variant): the zeta-weighted sum of
     z-monomials over index sets of size l."""
-    pairs = []
-    for I in itertools.combinations(_variant_pool(n, variant, k), l):
-        coeff = _unit(n, trunc)
-        for j in universe(n):
-            coeff = coeff * zeta(n, I, j, trunc)
-        pairs.append((eps_I(n, I), coeff))
-    return ZLaurentElement(n, pairs)
+    return ZLaurentElement(n, (
+        (eps_I(n, I), product(_unit(n, trunc),
+                              *(zeta(n, I, j, trunc) for j in universe(n))))
+        for I in itertools.combinations(_variant_pool(n, variant, k), l)))
 
 
 def elementary_z(n, l, trunc=None):

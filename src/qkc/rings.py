@@ -646,6 +646,37 @@ class NovikovFraction:
         return "NovikovFraction(%r)" % self.render()
 
 
+def identity_memo(fn):
+    """fn with each value kept per tuple of argument objects, keyed by
+    their identity, not by equality: only the very objects of an earlier
+    call find its value, and no term map is hashed.  An entry holds its
+    arguments, so no id is reused while it is a key; values are immutable
+    (see above), so a kept value stays right.  A caller that hands out a
+    new object, as a function changed after the tables were filled may,
+    misses the table and is computed afresh."""
+    table = {}
+
+    def memo(*args):
+        key = tuple(map(id, args))
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (args, fn(*args))
+        return entry[1]
+
+    memo.cache_clear = table.clear
+    return memo
+
+
+@identity_memo
+def product(*factors):
+    """factors[0] * factors[1] * ..., multiplied left to right once per
+    sequence of factor objects."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
 @lru_cache(maxsize=None)
 def _series_one(n, trunc):
     return NovikovSeries.monomial(n, (0,) * n, trunc=trunc)

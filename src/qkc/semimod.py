@@ -14,6 +14,15 @@ set I only through `_case`, the two or three membership facts that
 decide their value at position j.  Each value is built once per
 (n, j, case, trunc) and shared, so a table holds at most 12n entries
 per truncation however many index sets are asked about.
+
+`psi_product` still asks `psi` for every factor, but multiplies them
+through `rings.product`: the product is built once per sequence of
+factor objects, which are those shared values, so index sets with the
+same factors share one product; likewise the phi * theta = psi sweep
+in `verify` decides the identity once per triple of factor objects.  A
+table keyed by I instead would hand out a stale product after `psi`
+changed.  `jab_sets` reads one table per rank, the index sets grouped
+by size and eps_I.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .rings import (
     KeyedSum,
     NovikovFraction,
     NovikovSeries,
+    product,
 )
 from .weylc import (
     SignedPerm,
@@ -136,11 +146,8 @@ def _phi(n, j, case, trunc):
 
 
 def psi_product(n, I, trunc=None):
-    out = NovikovSeries.one(n, trunc)
-    for j in universe(n):
-        f = psi(n, I, j, trunc)
-        out = out * f
-    return out
+    return product(NovikovSeries.one(n, trunc),
+                   *(psi(n, I, j, trunc) for j in universe(n)))
 
 
 class SemiModElement(KeyedSum):
@@ -312,17 +319,25 @@ def star_map(n, I):
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _jab_table(n):
+    """The subsets of [1,1bar] grouped by (size, eps_I), each group in
+    `itertools.combinations` order."""
+    table = {}
+    pool = universe(n)
+    for k in range(len(pool) + 1):
+        for I in itertools.combinations(pool, k):
+            table.setdefault((k, _eps_I(n, I)), []).append(frozenset(I))
+    return table
+
+
 def jab_sets(n, A, B, k):
     """All I of size k with eps_I = eps_A - eps_B."""
     A, B = frozenset(A), frozenset(B)
     if A & B:
         raise ConfigError("A and B must be disjoint")
     target = _eps_I(n, A | {-b for b in B})
-    out = []
-    for I in itertools.combinations(universe(n), k):
-        if _eps_I(n, I) == target:
-            out.append(frozenset(I))
-    return out
+    return list(_jab_table(n).get((k, target), ()))
 
 
 def duality_hypothesis(n, I, A, B):

@@ -15,7 +15,7 @@ import itertools
 import time
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
-from .rings import ConfigError, specialize_Q_zero
+from .rings import ConfigError, identity_memo, specialize_Q_zero
 from .weylc import _alpha_range, enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
@@ -163,17 +163,24 @@ def _suite_relations(n, trunc):
 
 
 def _check_phi_theta_psi(n, trunc):
+    """phi * theta = psi at every (I, j), truncated and exact.  The three
+    functions are asked at every (I, j), and the identity is decided once
+    per triple of returned objects in this sweep."""
     degree = trunc if trunc is not None else 2 * n + 2
     pool = semimod.universe(n)
+    holds = identity_memo(lambda phi, theta, psi: phi * theta == psi)
+
+    def fails(I, j, trunc):
+        return not holds(semimod.phi(n, I, j, trunc),
+                         semimod.theta_sinf(n, I, j, trunc),
+                         semimod.psi(n, I, j, trunc))
+
     return _sweep("phi-theta-equals-psi", (
         "I=%s j=%s" % (I, j)
         for size in range(len(pool) + 1)
         for I in itertools.combinations(pool, size)
         for j in pool
-        if semimod.phi(n, I, j, degree) * semimod.theta_sinf(n, I, j, degree)
-        != semimod.psi(n, I, j, degree)
-        or semimod.phi(n, I, j) * semimod.theta_sinf(n, I, j)
-        != semimod.psi(n, I, j)))
+        if fails(I, j, degree) or fails(I, j, None)))
 
 
 def _suite_qkpres(n, trunc):

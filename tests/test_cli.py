@@ -188,12 +188,46 @@ def test_faults_show_after_the_tables_are_filled(monkeypatch, mode):
     test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode)
 
 
+def _failing_with_psi_doubled_at_1_2(monkeypatch, mode):
+    """The checks of the semimod and qkpres suites at n = 2 that fail
+    while psi_{1}(2) reads twice its value."""
+    original = semimod.psi
+
+    def psi(n, I, j, trunc=None):
+        value = original(n, I, j, trunc)
+        return value + value if (set(I), j) == ({1}, 2) else value
+
+    monkeypatch.setattr(semimod, "psi", psi)
+    failing = [cid for suite in ("semimod", "qkpres")
+               for cid, ok, _, _ in run_suite(suite, 2, mode).checks if not ok]
+    monkeypatch.undo()
+    return failing
+
+
+@pytest.mark.parametrize("mode", ["truncated", "exact"])
+def test_a_late_psi_fault_shows_in_semimod_and_qkpres(monkeypatch, mode):
+    # products and verdicts are kept per sequence of factor objects; a table
+    # keyed by the index set would hand out the clean run's products
+    rings.product.cache_clear()
+    qkpres._factors_to.cache_clear()
+    fresh = _failing_with_psi_doubled_at_1_2(monkeypatch, mode)
+    assert fresh == [
+        "rec-staircase-k0", "rec-staircase-k1", "rec-mountain-k2",
+        "rec-mountain-k1-full-sum", "symmetry-k1", "duality-A[1]-B[]-k1",
+        "phi-theta-equals-psi", "dictionary-f-to-module",
+        "dictionary-variants"]
+    assert run_suite("semimod", 2, mode).ok
+    assert run_suite("qkpres", 2, mode).ok
+    assert _failing_with_psi_doubled_at_1_2(monkeypatch, mode) == fresh
+
+
 # Every table of built-once values, as the modules that call it look it up.
 SHARED_TABLES = [
     (rings, "_series_one"), (rings, "_fraction_one"), (rings, "_den_poly"),
     (rings, "geometric_inverse"), (semimod, "_t_mono"), (qkpres, "_t_mono"),
     (semimod, "_psi"), (semimod, "_theta_sinf"), (semimod, "_phi"),
     (qkpres, "_zeta"), (qkpres, "_eta"), (qkpres, "_z_factor"),
+    (semimod, "product"), (qkpres, "product"),
 ]
 
 

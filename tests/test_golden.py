@@ -52,6 +52,12 @@ GOLDEN = [
     (["verify", "--n", "5", "--suite", "semimod,relations", "--json",
       "--mode", "exact"],
      "cc2ade006528821dc9ca190b907e5512aefebd24ea9e5806ea2e21b7133fa261"),
+    # rank 5 for the factor products and verdicts, recorded before they
+    # were kept per sequence of factor objects
+    (["verify", "--n", "5", "--suite", "qkpres", "--json"],
+     "e78cf8aa980b5eb4675af512477be640c2e7e250dded402b4cae0fe73973d629"),
+    (["verify", "--n", "5", "--suite", "qkpres", "--json", "--mode", "exact"],
+     "f01990972ccfc4a61e67ec54581926a3af0fbff31520a32ae2dd27ee3f82145f"),
     # recorded before build_graph lost its classifier argument
     (["qbg", "export", "--n", "2", "--format", "dot"],
      "6be14fcda25795fa6998d1ee53349d1357e5d19f7f6f95f63377742506915b8f"),

@@ -205,6 +205,33 @@ def test_star_map_bijection_on_weight_classes():
                 assert {star_map(n, I) for I in left} == set(right)
 
 
+def _jab_sets_by_filter(n, A, B, k):
+    """Every size-k subset of [1,1bar] with eps_I = eps_A - eps_B, by a
+    scan of all of them in combinations order."""
+    def eps(I):
+        v = [0] * n
+        for x in I:
+            v[abs(x) - 1] += 1 if x > 0 else -1
+        return v
+
+    target = eps(set(A) | {-b for b in B})
+    return [frozenset(I) for I in itertools.combinations(universe(n), k)
+            if eps(I) == target]
+
+
+def test_jab_sets_matches_the_filter_over_all_subsets():
+    for n in range(1, 5):
+        halves = [frozenset(c) for size in range(n + 1)
+                  for c in itertools.combinations(range(1, n + 1), size)]
+        for A in halves:
+            for B in halves:
+                if A & B:
+                    continue
+                for k in range(2 * n + 1):
+                    assert jab_sets(n, A, B, k) == _jab_sets_by_filter(
+                        n, A, B, k), (n, A, B, k)
+
+
 def test_duality_lemma_termwise():
     n = 3
     A, B = {1}, set()
