@@ -35,10 +35,13 @@ def _variant(text):
 
 def _window(text):
     try:
-        return SignedPerm.parse(text)
+        w = SignedPerm.parse(text)
+        if w.n:
+            return w
     except (ValueError, ConfigError):
-        raise argparse.ArgumentTypeError(
-            "expected a signed permutation like [2,-1], got %r" % text)
+        pass
+    raise argparse.ArgumentTypeError(
+        "expected a signed permutation like [2,-1], got %r" % text)
 
 
 def _seq(text):
@@ -124,9 +127,7 @@ def build_parser():
     p.add_argument("what", choices=("f", "ff", "ideal", "schubert"))
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--l", type=_nonnegative_int)
-    p.add_argument("--k", type=_positive_int)
     p.add_argument("--variant", type=_variant, default=("full", None))
-    p.add_argument("--barred", action="store_true")
     p.add_argument("--trunc", type=_positive_int)
     p.add_argument("--json", action="store_true")
 
@@ -207,9 +208,9 @@ def _cmd_show(args, parser):
     n = args.n
     if args.what in ("f", "ff") and args.l is None:
         parser.error("show %s requires --l" % args.what)
-    if args.what == "schubert" and args.k is None:
-        parser.error("show schubert requires --k")
     variant, k = args.variant
+    if args.what == "schubert" and k is None:
+        parser.error("show schubert requires --variant")
     if args.what == "ideal":
         gens = qkpres.ideal_generators(n, args.trunc)
         text = "\n".join("F_%d - E_%d: %s" % (l, l, g.render())
@@ -224,8 +225,7 @@ def _cmd_show(args, parser):
         if args.what == "f":
             obj = qkpres.f_poly(n, args.l, variant, k, args.trunc)
         else:
-            obj = qkpres.schubert_poly(
-                n, args.k, "barred" if args.barred else "upper", args.trunc)
+            obj = qkpres.schubert_poly(n, k, variant, args.trunc)
         text = obj.render()
         payload = _laurent_json(obj)
     if args.json:

@@ -7,12 +7,6 @@ with their tuples of admissible subsets, listing each node's subsets once,
 and every node adds one block.  The module also holds the
 staircase/mountain closed forms and the cancellation bookkeeping that
 links the general evaluator to them.
-
-No command reaches `ic1_data`, `ic2_data`, `derive_recurrence` and the
-`ic_lhs`, `SemiClassSum.tensor`, `QExtElement.from_group` and
-`specialize_q_one` they use.  They stay: the tests derive both semimod
-recursions from them, the only check that the recursions follow from the
-inverse Chevalley formulas.
 """
 
 from __future__ import annotations
@@ -41,12 +35,6 @@ class SemiClassSum(KeyedSum):
         else:
             c = QExtElement.monomial(n, (0,) * n, coeff=coeff, qexp=qexp)
         return cls(n, [((w, xi, lam), c)])
-
-    def tensor(self, mu):
-        """Tensor with O(mu): lambda -> lambda + mu on every key."""
-        return SemiClassSum(self.n, (
-            ((w, xi, tuple(a + b for a, b in zip(lam, mu))), v)
-            for (w, xi, lam), v in self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -139,14 +127,6 @@ def inverse_chevalley(w, m):
         w.n, (block for _, _, block in _chain_blocks(w, m)))
 
 
-def ic_lhs(w, m):
-    """e^{-w(eps_m)} [O(w)] as a one-term SemiClassSum."""
-    n = w.n
-    weight = tuple(-x for x in w.act_weight(_eps(n, m)))
-    return SemiClassSum.basis(
-        w, coeff=QExtElement.monomial(n, weight))
-
-
 def _staircase_block(n, k, top):
     """q times the sum over j <= k of
     [O(s_1..s_{j-1} t_xi)(eps_j)] - [O(s_1..s_j t_xi)(eps_j)],
@@ -173,22 +153,6 @@ def ic2_closed(n, k):
     return total + _staircase_block(n, k, n)
 
 
-def ic1_data(n, k):
-    """Both sides of the staircase expansion: returns (lhs, rhs)."""
-    if not 1 <= k <= n - 1:
-        raise ConfigError("k out of range")
-    lhs = SemiClassSum.basis(
-        staircase(n, k), coeff=QExtElement.monomial(n, _eps(n, 1)))
-    rhs = SemiClassSum.basis(staircase(n, k), lam=_eps(n, k + 1))
-    rhs = rhs - SemiClassSum.basis(staircase(n, k + 1), lam=_eps(n, k + 1))
-    return lhs, rhs + _staircase_block(n, k, k)
-
-
-def ic2_data(n, k):
-    """Both sides of the mountain expansion: returns (lhs, rhs)."""
-    return ic_lhs(mountain(n, k), k), ic2_closed(n, k)
-
-
 def cancellation_report(n, k):
     """Account for every chain contribution in the unbarred block of
     inverse_chevalley(mountain(k), k).
@@ -196,60 +160,50 @@ def cancellation_report(n, k):
     Returns a dict with the matched cancelling pairs, the surviving chains,
     and a residual check (sum of paired contributions must be zero and the
     survivors must add up to the closed form's unbarred block).  A pair
-    that cannot be matched or does not cancel makes the check false, and
-    the first such pair is named under "location".
+    that cannot be matched or does not cancel, or a chain walked twice,
+    makes the check false, and the first such fault is named under
+    "location".
     """
-    contributions = [  # (j, chain, A-labels, term)
-        (chain[-1], chain, tuple(a.render() for a in alist), block)
-        for chain, alist, block in _chain_blocks(mountain(n, k), k)
-        if chain and chain[-1] > 0]
+    blocks = {}  # chain -> (A-labels, block), in walk order
+    location = ""
+    for chain, alist, block in _chain_blocks(mountain(n, k), k):
+        if chain and chain[-1] > 0:
+            if chain in blocks:  # each chain has one term to pair
+                location = location or (
+                    "cancellation pairing failed at j=%d l=%d"
+                    % (chain[-1], next(x for x in chain if x > 0)))
+            blocks[chain] = (tuple(a.render() for a in alist), block)
 
-    def expected_chain(j, l, family):
-        """The chain tuple for the two proof families: the barred run goes
-        up to lbar in family 1 and stops below it in family 2."""
-        top = l + 1 if family == 1 else l
+    def family(j, l, top):
+        """The chain of a proof family: k+1bar, ..., (top-1)bar, then
+        l, l-1, ..., j; top is l + 1 in family 1 and l in family 2."""
         return tuple(-t for t in range(k + 1, top)) + tuple(range(l, j - 1, -1))
 
     pairs = []
-    survivors = []
-    location = ""
-    used = [False] * len(contributions)
-    index = {}
-    for pos, (j, chain, labels, block) in enumerate(contributions):
-        index.setdefault((j, chain), []).append(pos)
-
     for j in range(1, n + 1):
         for l in range(max(j, k + 1), n + 1):
-            c1 = expected_chain(j, l, 1)
-            c2 = expected_chain(j, l, 2)
-            p1 = [p for p in index.get((j, c1), []) if not used[p]]
-            p2 = [p for p in index.get((j, c2), []) if not used[p]]
-            if not p1 and not p2:
+            c1, c2 = family(j, l, l + 1), family(j, l, l)
+            if c1 not in blocks and c2 not in blocks:
                 continue
-            if len(p1) != 1 or len(p2) != 1:
+            if c1 not in blocks or c2 not in blocks:
                 location = location or (
                     "cancellation pairing failed at j=%d l=%d" % (j, l))
-                continue
-            a, b = p1[0], p2[0]
-            if not (contributions[a][3] + contributions[b][3]).is_zero():
+            elif not (blocks[c1][1] + blocks[c2][1]).is_zero():
                 location = location or (
                     "paired terms do not cancel at j=%d l=%d" % (j, l))
-                continue
-            used[a] = used[b] = True
-            pairs.append((j, l, contributions[a][1], contributions[b][1]))
+            else:
+                del blocks[c1], blocks[c2]
+                pairs.append((j, l, c1, c2))
 
-    residual = SemiClassSum.zero(n)
-    for pos, (j, chain, labels, block) in enumerate(contributions):
-        if used[pos] or block.is_zero():
-            continue
-        survivors.append((j, chain, labels))
-        residual = residual + block
-
-    # survivors must be exactly the chains (k, k-1, ..., j) with j <= k
-    expect_chains = {(j, tuple(range(k, j - 1, -1))) for j in range(1, k + 1)}
-    got_chains = {(j, chain) for j, chain, _ in survivors}
-    ok = not location and got_chains == expect_chains
-    ok = ok and residual == _staircase_block(n, k, n)
+    # the survivors must be exactly the chains (k, k-1, ..., j) with
+    # j <= k, and add up to the closed form's unbarred block
+    survivors = [(chain[-1], chain, labels)
+                 for chain, (labels, block) in blocks.items()
+                 if not block.is_zero()]
+    expect = {tuple(range(k, j - 1, -1)) for j in range(1, k + 1)}
+    residual = SemiClassSum.sum_of(n, (block for _, block in blocks.values()))
+    ok = (not location and {chain for _, chain, _ in survivors} == expect
+          and residual == _staircase_block(n, k, n))
 
     return {
         "pairs": pairs,
@@ -257,25 +211,3 @@ def cancellation_report(n, k):
         "matches_closed_form": ok,
         "location": location,
     }
-
-
-def derive_recurrence(lhs, rhs, twist, target):
-    """Tensor both sides by O(twist), set q := 1, and isolate the target
-    basis key (w, xi, lam), whose coefficient must be a unit +-1.
-
-    Returns (target_key, expression) with expression a SemiClassSum over
-    the remaining keys whose coefficients are q-free.
-    """
-    n = lhs.n
-    combined = (rhs - lhs).tensor(twist).map_coefficients(
-        lambda v: QExtElement.from_group(v.specialize_q_one()))
-    coeff = combined.terms.get(target)
-    if coeff is None:
-        raise ConfigError("target key absent after specialization")
-    unit = coeff.specialize_q_one().monomial_or_none()
-    if unit is None or unit[0] != (0,) * n or unit[1] not in (1, -1):
-        raise ConfigError("target coefficient is not a unit")
-    rest = SemiClassSum(
-        n, ((k, v) for k, v in combined.terms.items() if k != target))
-    sign = -unit[1]
-    return target, rest.scale(sign)

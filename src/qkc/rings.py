@@ -29,8 +29,9 @@ tuple, most significant slot first:
 The weight slots are the low slots of every layout, then q, then the
 series slots, so a key of a narrower layout is already the same int in
 a wider one: mixing layouts needs no conversion, and values that are
-equal compare equal, and hash equal, whatever their layout.  An int is
-a constant of any layout.
+equal compare equal whatever their layout.  An int is a constant of any
+layout.  Values are not hashable: tables key by ints, tuples or object
+identity, never by a term map.
 
 Every exponent, deg included, lies in [-MAX_EXPONENT, MAX_EXPONENT].
 Each value carries a bound on its exponents, so an operation checks once,
@@ -116,12 +117,6 @@ def _decoder(slots):
         return tuple(out)
 
     return decode
-
-
-def _low_part(n):
-    """The map from a packed key to the key of its n weight slots."""
-    bias, size = _bias(n), _BASE ** n
-    return lambda k: (k + bias) % size - bias
 
 
 @lru_cache(maxsize=None)
@@ -337,16 +332,7 @@ class Poly:
         pair = self._pair(other)
         return NotImplemented if pair is None else pair[1] == pair[2]
 
-    def __hash__(self):
-        # Equal values have equal packed maps in every layout, and a
-        # constant hashes like the int it equals.
-        if not self._packed:
-            return hash(0)
-        if len(self._packed) == 1:
-            (key, v), = self._packed.items()
-            if not key:
-                return hash(v)
-        return hash(frozenset(self._packed.items()))
+    __hash__ = None
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs in tuple order: with signed
@@ -446,20 +432,6 @@ class QExtElement(Poly):
     def monomial(cls, n, exps, coeff=1, qexp=0):
         return cls(n, {(qexp,) + tuple(exps): coeff})
 
-    @classmethod
-    def from_group(cls, g):
-        return cls._make(g.n, None, g._packed, g._reach)
-
-    def specialize_q_one(self):
-        """Ring map q := 1 onto GroupRingElement."""
-        low = _low_part(self.n)
-        out = {}
-        for k, v in self._packed.items():
-            w = low(k)
-            out[w] = out.get(w, 0) + v
-        return GroupRingElement._make(
-            self.n, None, {k: v for k, v in out.items() if v}, self._reach)
-
     def render(self):
         return _render_terms([(k[0], k[1:], v) for k, v in self.sorted_terms()])
 
@@ -488,10 +460,6 @@ class NovikovSeries(Poly):
     @classmethod
     def one(cls, n, trunc=None):
         return _series_one(n, trunc)
-
-    @classmethod
-    def constant(cls, n, value, trunc=None):
-        return cls.monomial(n, (0,) * n, value, trunc)
 
     @classmethod
     def variable(cls, n, j, trunc=None):
@@ -718,10 +686,6 @@ class KeyedSum:
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def sum_of(cls, n, parts):
         """The sum of the rank-n sums in parts, built in one pass."""
         return cls(n, chain.from_iterable(p.terms.items() for p in parts))
@@ -769,10 +733,6 @@ class ZLaurentElement(KeyedSum):
     NovikovFraction values (uniform within one element)."""
 
     __slots__ = ()
-
-    @classmethod
-    def monomial(cls, n, exps, coeff):
-        return cls(n, [(tuple(exps), coeff)])
 
     @classmethod
     def constant(cls, n, coeff):

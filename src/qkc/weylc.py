@@ -62,18 +62,6 @@ class SignedPerm:
             return self.window[k - 1]
         return -self.window[-k - 1]
 
-    def act_weight(self, lam):
-        """w . sum lam_k eps_k = sum lam_k eps_{w(k)}, with eps_{jbar} = -eps_j."""
-        out = [0] * self.n
-        for k, c in enumerate(lam, start=1):
-            if c:
-                img = self.window[k - 1]
-                if img > 0:
-                    out[img - 1] += c
-                else:
-                    out[-img - 1] -= c
-        return tuple(out)
-
     def __mul__(self, other):
         """(w*v)(k) = w(v(k))."""
         return SignedPerm(self.act(x) for x in other.window)
@@ -259,21 +247,3 @@ def demazure_D(i, f):
                 out[key] = out.get(key, 0) - c
     return GroupRingElement(n, out)
 
-
-def demazure_D_fraction(i, f):
-    """D_i via the defining fraction, using exact division.  No command
-    calls it: it is kept as the independent oracle that the tests compare
-    the closed form `demazure_D` with."""
-    from .rings import exact_div
-
-    n = f.n
-    alpha = simple_root_weight(n, i)
-    cv = _eps(n, i)
-    ealpha = GroupRingElement.monomial(n, alpha)
-    num = GroupRingElement.zero(n)
-    for nu, c in f.terms.items():
-        m = pairing(nu, cv)
-        snu = tuple(x - m * a for x, a in zip(nu, alpha))
-        num = num + GroupRingElement.monomial(n, nu, c)
-        num = num - ealpha * GroupRingElement.monomial(n, snu, c)
-    return exact_div(num, GroupRingElement.one(n) - ealpha)

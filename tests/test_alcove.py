@@ -12,6 +12,8 @@ from qkc.weylc import (
     universe,
 )
 
+from oracles import act_weight
+
 
 def mountain(n, k):
     """s_1 ... s_{n-1} s_n s_{n-1} ... s_k."""
@@ -185,13 +187,13 @@ def test_a_filtered_against_bruteforce():
                     base = alist[-1].end if alist else w
                     prev = chain[-1] if chain else -m
                     seq = theta_seq(n, prev) if prev > 0 else gamma_seq(n, -prev)
-                    moved = base.act_weight(signed_eps(n, prev))
+                    moved = act_weight(base, signed_eps(n, prev))
                     fam = admissible_subsets(base, seq)
                     for l in universe(n):
                         if order_key(n, l) >= order_key(n, prev):
                             continue
                         brute = [(a.positions, a.end) for a in fam if a.positions
-                                 and a.end.inverse().act_weight(moved)
+                                 and act_weight(a.end.inverse(), moved)
                                  == signed_eps(n, l)]
                         walked = [(al[-1].positions, al[-1].end)
                                   for c, al in nodes

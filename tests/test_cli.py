@@ -345,6 +345,21 @@ def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
         "paired terms do not cancel")
 
 
+def test_missing_partner_fails_the_cancellation_check(monkeypatch, capsys):
+    original = ichevalley._chain_blocks
+
+    def chain_blocks(w, m):
+        # at k = 1, the family-2 chain (2, 1) cancels (2bar, 2, 1)
+        return ((chain, alist, block) for chain, alist, block
+                in original(w, m) if chain != (2, 1))
+
+    monkeypatch.setattr(ichevalley, "_chain_blocks", chain_blocks)
+    code, failing = _failing_checks(capsys, "--n", "3", "--suite", "ic")
+    assert code == 1
+    assert failing["cancellation-accounting-k1"].startswith(
+        "cancellation pairing failed at j=")
+
+
 def _double_the_pivots(monkeypatch):
     original = relations.system_row
 
@@ -411,6 +426,9 @@ def test_exact_mode_ignores_trunc(capsys):
     ["alcove", "list", "--w", "[2,-1]", "--seq", "bogus:1"],
     # an empty flag is not an unset one
     ["verify", "--n", "2", "--suite", ""],
+    # nor is an empty window a rank-0 permutation
+    ["ic", "--w", "[]", "--m", "1"],
+    ["alcove", "list", "--w", "[]", "--seq", "theta:1"],
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -418,6 +436,8 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+    # the error names the flag at fault
+    assert any("argument %s:" % a in err for a in argv if a.startswith("--"))
 
 
 def test_trunc_below_2n_runs_every_suite(capsys):
@@ -428,6 +448,20 @@ def test_trunc_below_2n_runs_every_suite(capsys):
     reports = json.loads(out)["reports"]
     assert [r["suite"] for r in reports] == list(SUITES)
     assert all(r["trunc"] == 1 for r in reports)
+
+
+def test_show_reads_one_variant_flag(capsys):
+    _, upper = run(capsys, "show", "schubert", "--n", "2", "--variant", "1")
+    _, barred = run(capsys, "show", "schubert", "--n", "2", "--variant", "1bar")
+    assert upper != barred
+    for argv, err in ((["show", "schubert", "--n", "2"], "requires --variant"),
+                      (["show", "schubert", "--n", "2", "--k", "1"], "--k"),
+                      (["show", "f", "--n", "2", "--l", "1", "--barred"],
+                       "--barred")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert err in capsys.readouterr().err
 
 
 def test_invalid_rank_is_usage_error(capsys):
@@ -498,8 +532,8 @@ def test_show_commands(capsys):
     assert code == 0 and out.strip()
     code, out = run(capsys, "show", "ideal", "--n", "1")
     assert code == 0 and "F_1 - E_1" in out
-    code, out = run(capsys, "show", "schubert", "--n", "2", "--k", "2",
-                    "--barred", "--json")
+    code, out = run(capsys, "show", "schubert", "--n", "2", "--variant",
+                    "2bar", "--json")
     assert code == 0 and json.loads(out)
 
 

@@ -26,7 +26,7 @@ GOLDEN = [
      "7b2402e58cdf449442bb15159c5019e2ea8e394b435588cffd58f2c2fee16f49"),
     (["show", "ideal", "--n", "2"],
      "90a77f3de2e152e1d2606978b3cb7f3b0937797099074f179808c29d7b03124b"),
-    (["show", "schubert", "--n", "3", "--k", "2", "--barred", "--json"],
+    (["show", "schubert", "--n", "3", "--variant", "2bar", "--json"],
      "096fc88944991cd002a0b953bd860842ffc7e1b883c11621d3b745306b727c75"),
     (["ic", "--w", "[-2,1]", "--m", "1"],
      "2baced42d0e383f87baf166defaa19120291ee9be5cdad59984aad43f59f5980"),

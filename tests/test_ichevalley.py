@@ -8,11 +8,7 @@ from qkc.ichevalley import (
     SemiClassSum,
     _chain_blocks,
     cancellation_report,
-    derive_recurrence,
-    ic1_data,
     ic2_closed,
-    ic2_data,
-    ic_lhs,
     inverse_chevalley,
     mountain,
     staircase,
@@ -25,6 +21,15 @@ from qkc.weylc import (
     order_key,
     pairing,
     universe,
+)
+
+from oracles import (
+    act_weight,
+    derive_recurrence,
+    ic1_data,
+    ic2_data,
+    ic_lhs,
+    tensor,
 )
 
 
@@ -56,9 +61,9 @@ def brute_force_tuples(w, m):
             yield alist, base, down, size
             return
         seq = theta_seq(n, prev) if prev > 0 else gamma_seq(n, -prev)
-        moved = base.act_weight(signed_eps(n, prev))
+        moved = act_weight(base, signed_eps(n, prev))
         for a in admissible_subsets(base, seq):
-            if a.positions and (a.end.inverse().act_weight(moved)
+            if a.positions and (act_weight(a.end.inverse(), moved)
                                 == signed_eps(n, rest[0])):
                 yield from tuples(a.end, rest[0], rest[1:], alist + [a])
 
@@ -229,7 +234,7 @@ def test_derive_rec_2():
 def test_zero_twist_is_identity():
     n = 2
     s = ic2_closed(n, 1)
-    assert s.tensor((0,) * n) == s
+    assert tensor(s, (0,) * n) == s
 
 
 def test_target_must_be_unit():

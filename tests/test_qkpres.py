@@ -124,8 +124,8 @@ def test_q_zero_specialization_of_factors():
 def test_f_small_cases():
     n = 1
     one = NovikovSeries.one(n)
-    expect = (ZLaurentElement.monomial(n, (1,), frac(one - q_mono(n, 1, 1)))
-              + ZLaurentElement.monomial(n, (-1,), frac(one)))
+    expect = ZLaurentElement(n, [((1,), frac(one - q_mono(n, 1, 1))),
+                                 ((-1,), frac(one))])
     assert f_poly(n, 1) == expect
     assert f_poly(n, 0) == ZLaurentElement.constant(n, frac(one))
     with pytest.raises(ConfigError):
@@ -164,8 +164,8 @@ def test_ideal_generators():
     n = 1
     g, = ideal_generators(n)
     one = NovikovSeries.one(n)
-    expect = (ZLaurentElement.monomial(n, (1,), frac(one - q_mono(n, 1, 1)))
-              + ZLaurentElement.monomial(n, (-1,), frac(one))
+    expect = (ZLaurentElement(n, [((1,), frac(one - q_mono(n, 1, 1))),
+                                  ((-1,), frac(one))])
               - ZLaurentElement.constant(
                   n, frac(one) * elementary_E(n, 1)))
     assert g == expect
@@ -186,8 +186,8 @@ def test_to_semimod_basics():
     n = 2
     one = ZLaurentElement.constant(n, NovikovFraction.one(n))
     assert to_semimod(one) == SemiModElement.one(n)
-    z1 = ZLaurentElement.monomial(n, (1, 0), NovikovFraction.one(n))
-    z1_inv = ZLaurentElement.monomial(n, (-1, 0), NovikovFraction.one(n))
+    z1 = ZLaurentElement(n, [((1, 0), NovikovFraction.one(n))])
+    z1_inv = ZLaurentElement(n, [((-1, 0), NovikovFraction.one(n))])
     assert to_semimod(z1 * z1_inv) == SemiModElement.one(n)
 
 

@@ -96,11 +96,9 @@ def test_specialize_Q_zero_example():
     n = 1
     one = NovikovSeries.one(n, None)
     q1 = NovikovSeries.variable(n, 1, None)
-    f = (ZLaurentElement.monomial(n, (1,), one - q1)
-         + ZLaurentElement.monomial(n, (-1,), one))
+    f = ZLaurentElement(n, [((1,), one - q1), ((-1,), one)])
     g = specialize_Q_zero(f)
-    expect = (ZLaurentElement.monomial(n, (1,), one)
-              + ZLaurentElement.monomial(n, (-1,), one))
+    expect = ZLaurentElement(n, [((1,), one), ((-1,), one)])
     assert g == expect
     assert specialize_Q_zero(ZLaurentElement.constant(n, one)) == \
         ZLaurentElement.constant(n, one)
@@ -178,22 +176,22 @@ nov = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(nov, nov)
 def test_specialization_is_ring_hom(a, b):
-    fa = ZLaurentElement.monomial(1, (1,), a) if not a.is_zero() else ZLaurentElement.zero(1)
-    fb = ZLaurentElement.monomial(1, (1,), b) if not b.is_zero() else ZLaurentElement.zero(1)
+    fa = ZLaurentElement(1, [((1,), a)])
+    fb = ZLaurentElement(1, [((1,), b)])
     assert specialize_Q_zero(fa + fb) == specialize_Q_zero(fa) + specialize_Q_zero(fb)
     assert specialize_Q_zero(fa * fb) == specialize_Q_zero(fa) * specialize_Q_zero(fb)
 
 
-def test_cross_layout_equality_is_symmetric_and_hash_consistent():
+def test_cross_layout_equality_is_symmetric():
     n = 2
     e1 = e(n, 1, 0)
     values = [
         1, 2,
         GroupRingElement.one(n), GroupRingElement.one(n) * 2, e1,
-        QExtElement.one(n), QExtElement.from_group(e1),
+        QExtElement.one(n), QExtElement.monomial(n, (1, 0)),
         QExtElement.monomial(n, (1, 0), qexp=1),
-        NovikovSeries.one(n, 4), NovikovSeries.constant(n, e1, 4),
-        NovikovSeries.one(n), NovikovSeries.constant(n, e1),
+        NovikovSeries.one(n, 4), NovikovSeries.monomial(n, (0, 0), e1, 4),
+        NovikovSeries.one(n), NovikovSeries.monomial(n, (0, 0), e1),
         NovikovSeries.variable(n, 1, 4), NovikovSeries.variable(n, 1),
         NovikovFraction.one(n), NovikovFraction.one(n) * e1,
         NovikovFraction.geometric(n, 1),
@@ -201,12 +199,12 @@ def test_cross_layout_equality_is_symmetric_and_hash_consistent():
     for a in values:
         for b in values:
             assert (a == b) == (b == a), (a, b)
-            if a == b and not isinstance(a, NovikovFraction) \
-                    and not isinstance(b, NovikovFraction):
-                assert hash(a) == hash(b), (a, b)
+    for a in values[2:]:  # ring values are not hashable
+        with pytest.raises(TypeError):
+            hash(a)
     assert GroupRingElement.one(n) == QExtElement.one(n)
     assert GroupRingElement.one(n) == 1
-    assert NovikovSeries.constant(n, e1) == NovikovFraction.one(n) * e1
+    assert NovikovSeries.monomial(n, (0, 0), e1) == NovikovFraction.one(n) * e1
     # a truncated series and an exact fraction are values of different
     # modes, unequal either way round (as series of different truncs are)
     assert NovikovSeries.one(n, 4) != NovikovFraction.one(n)
@@ -499,9 +497,9 @@ def test_add_shifted_matches_add_and_multiply(data):
     got = a.add_shifted(x, b)
     assert type(got) is type(expect) and got.trunc == expect.trunc
     assert got.terms == expect.terms
-    assert got == expect and hash(got) == hash(expect)
+    assert got == expect
     two = GroupRingElement.one(N) + e(N, 1, 0)
-    for bad in (two, QExtElement.from_group(two),
-                NovikovSeries.constant(N, two, trunc), 2):
+    two_q = QExtElement.monomial(N, (0, 0)) + QExtElement.monomial(N, (1, 0))
+    for bad in (two, two_q, NovikovSeries.monomial(N, (0, 0), two, trunc), 2):
         with pytest.raises(ConfigError):
             a.add_shifted(bad, b)

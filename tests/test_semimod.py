@@ -251,7 +251,7 @@ def test_duality_sums():
 def test_module_arithmetic():
     n = 2
     a = ff(n, 1)
-    assert a - a == SemiModElement.zero(n)
+    assert a - a == SemiModElement(n)
     assert a.tensor((0, 0)) == a
     e1 = GroupRingElement.monomial(n, (1, 0))
     assert a.scale(e1).scale(-1) == -a.scale(e1)
