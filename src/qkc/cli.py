@@ -57,13 +57,18 @@ def _seq(text):
         "expected theta:K or gamma:K with K an integer, got %r" % text)
 
 
+_CONFIG_FLAGS = {"n": "--n", "trunc": "--trunc", "mode": "--mode",
+                 "suites": "--suite"}
+
+
 def _read_config(path):
+    """The verify flags that the file's `key = value` lines stand for."""
     try:
         with open(path) as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
-    values = {}
+    flags = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,10 +76,10 @@ def _read_config(path):
         if "=" not in line:
             raise ConfigError("bad config line: %r" % raw.strip())
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ("n", "trunc", "mode", "suites"):
+        if key not in _CONFIG_FLAGS:
             raise ConfigError("unknown config key %r" % key)
-        values[key] = value
-    return values
+        flags.append("%s=%s" % (_CONFIG_FLAGS[key], value))
+    return flags
 
 
 def _int_at_least(low):
@@ -109,27 +114,36 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--trunc", type=_positive_int,
                    help="truncated mode: the Novikov degree at which the "
                         "semimod and qkpres series are cut (default 2n+2); "
                         "relations always cuts its t-polynomials at 2n+2, "
                         "and qbg, alcove and ic have no series")
-    p.add_argument("--mode", choices=("truncated", "exact"))
+    p.add_argument("--mode", choices=("truncated", "exact"),
+                   default="truncated")
     p.add_argument("--suite", dest="suites", type=_suite_names,
-                   metavar="SUITE",
+                   metavar="SUITE", default="all",
                    help="suite name, comma-separated list, or 'all'")
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("show", help="print an algebraic object")
-    p.add_argument("what", choices=("f", "ff", "ideal", "schubert"))
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--l", type=_nonnegative_int)
-    p.add_argument("--variant", type=_variant, default=("full", None))
-    p.add_argument("--trunc", type=_positive_int)
-    p.add_argument("--json", action="store_true")
+    ssub = p.add_subparsers(dest="what", required=True)
+    for what, text in (("f", "the element F_l"),
+                       ("ff", "the module element FF_l"),
+                       ("ideal", "the generators F_l - E_l"),
+                       ("schubert", "a Schubert-class polynomial")):
+        s = ssub.add_parser(what, help=text)
+        s.add_argument("--n", type=_positive_int, required=True)
+        if what in ("f", "ff"):
+            s.add_argument("--l", type=_nonnegative_int, required=True)
+        if what != "ideal":
+            s.add_argument("--variant", type=_variant, default=("full", None),
+                           required=what == "schubert")
+        s.add_argument("--trunc", type=_positive_int)
+        s.add_argument("--json", action="store_true")
 
     p = sub.add_parser("qbg", help="quantum Bruhat graph utilities")
     qsub = p.add_subparsers(dest="qbg_command", required=True)
@@ -159,30 +173,11 @@ def build_parser():
     return parser
 
 
-def _cmd_verify(args, parser):
-    config = _read_config(args.config) if args.config else {}
-
-    def setting(key, default, parse=_positive_int):
-        """The flag, else the config value parsed like the flag, else default."""
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        if key not in config:
-            return default
-        try:
-            return parse(config[key])
-        except argparse.ArgumentTypeError as exc:
-            parser.error("config %s: %s" % (key, exc))
-
-    n = setting("n", 2)
-    trunc = setting("trunc", None)
-    mode = args.mode or config.get("mode", "truncated")
-    suite = setting("suites", "all", _suite_names)
-    if mode not in ("truncated", "exact"):
-        parser.error("unknown mode %r" % mode)
+def _cmd_verify(args):
+    n, mode, suite = args.n, args.mode, args.suites
     suites = "all" if suite == "all" else [s.strip() for s in suite.split(",")]
 
-    reports = verify.run_suites(suites, n, mode, trunc)
+    reports = verify.run_suites(suites, n, mode, args.trunc)
     ok = all(r.ok for r in reports)
     if args.json:
         command = "verify --n %d --mode %s --suite %s" % (n, mode, suite)
@@ -204,27 +199,23 @@ def _laurent_json(p):
             for exps, c in p.sorted_terms()]
 
 
-def _cmd_show(args, parser):
+def _cmd_show(args):
     n = args.n
-    if args.what in ("f", "ff") and args.l is None:
-        parser.error("show %s requires --l" % args.what)
-    variant, k = args.variant
-    if args.what == "schubert" and k is None:
-        parser.error("show schubert requires --variant")
     if args.what == "ideal":
         gens = qkpres.ideal_generators(n, args.trunc)
         text = "\n".join("F_%d - E_%d: %s" % (l, l, g.render())
                          for l, g in enumerate(gens, start=1))
         payload = [_laurent_json(g) for g in gens]
     elif args.what == "ff":
-        obj = semimod.ff(n, args.l, variant, k, args.trunc)
+        obj = semimod.ff(n, args.l, *args.variant, args.trunc)
         text = obj.render()
         payload = [{"w": w.render(), "lam": list(lam), "coeff": c.render()}
                    for (w, lam), c in obj.sorted_terms()]
     else:
         if args.what == "f":
-            obj = qkpres.f_poly(n, args.l, variant, k, args.trunc)
+            obj = qkpres.f_poly(n, args.l, *args.variant, args.trunc)
         else:
+            variant, k = args.variant
             obj = qkpres.schubert_poly(n, k, variant, args.trunc)
         text = obj.render()
         payload = _laurent_json(obj)
@@ -287,13 +278,18 @@ def _cmd_solve(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify(args, parser)
+            if args.config:
+                # the file's flags go first, so the command line wins
+                args = parser.parse_args(
+                    argv[:1] + _read_config(args.config) + argv[1:])
+            return _cmd_verify(args)
         if args.command == "show":
-            return _cmd_show(args, parser)
+            return _cmd_show(args)
         if args.command == "qbg":
             edges = qbg.build_graph(args.n)
             sys.stdout.write(qbg.export(edges, args.format))

@@ -123,10 +123,9 @@ def f_poly(n, l, variant="full", k=None, trunc=None):
 
 
 def elementary_z(n, l, trunc=None):
-    """e_l(z_1, ..., z_n, z_n^{-1}, ..., z_1^{-1})."""
-    return ZLaurentElement(n, (
-        (eps_I(n, I), _unit(n, trunc))
-        for I in itertools.combinations(universe(n), l)))
+    """e_l(z_1, ..., z_n, z_n^{-1}, ..., z_1^{-1}): E_l with z for e^eps."""
+    return ZLaurentElement(n, ((exps, _unit(n, trunc) * c)
+                               for exps, c in elementary_E(n, l).terms.items()))
 
 
 def ideal_generators(n, trunc=None):

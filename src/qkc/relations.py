@@ -9,6 +9,12 @@ solved; the unique solution is the tuple of hyperbolic elementary
 symmetric polynomials E_0..E_n.  `derivation_chain` walks the chain once,
 each relation derived from the one before.
 
+Each symmetric family has one builder: `_h_row` gives the complete
+polynomials h_0..h_m as one recurrence row, read whole, and `_e_row` gives
+the elementary ones in closed form, without the shift-add that the
+linear-factor products `_t_factors` use, so gf-2, gf-3 and the solved
+system are compared with an E built by another route.
+
 The printed relations (`secondary_literal`, `system_arbitrary`) and the
 csym-3/csym-4 lemma share one transcription of the nested sum,
 `csym_nested_lhs`; a printed coefficient is the sum times (-1)^l e^shift.
@@ -19,6 +25,9 @@ means only that an argument is out of range.
 """
 
 from __future__ import annotations
+
+import itertools
+from math import comb
 
 from .rings import ConfigError, GroupRingElement, exact_div
 from .weylc import _eps, demazure_D
@@ -119,25 +128,27 @@ def _h_row(variables, m):
     return row
 
 
-def h_poly(variables, m):
-    """Complete symmetric polynomial h_m; h_0 = 1 and h_{m<0} = 0."""
-    if m < 0:
-        return GroupRingElement.zero(variables[0].n)
-    return _h_row(variables, m)[m]
+def _diffs(row):
+    """[r_l - r_{l-2}] for l = 0..len(row)-1, with r_{-1} = r_{-2} = 0."""
+    return [c - row[l - 2] if l >= 2 else c for l, c in enumerate(row)]
 
 
-def e_poly(variables, m, n=None):
-    """Elementary symmetric polynomial e_m (zero outside 0 <= m <= #vars)."""
-    if n is None:
-        n = variables[0].n
-    if m < 0 or m > len(variables):
-        return GroupRingElement.zero(n)
-    row = [GroupRingElement.one(n)] + [GroupRingElement.zero(n)] * m
-    for x in variables:
-        # descending, so each variable enters a product at most once
-        for deg in range(m, 0, -1):
-            row[deg] = row[deg].add_shifted(x, row[deg - 1])
-    return row[m]
+def _e_row(n, coords, m):
+    """[e_0, ..., e_m] in the variables e^{+-eps_j}, j in coords, in closed
+    form: the factor of j is 1 + (e^{eps_j} + e^{-eps_j}) t + t^2, so
+    [e^lam] e_l = C(z, (l - |lam|_1)/2) for lam in {-1, 0, 1} on coords and
+    0 elsewhere, where z counts the zero entries (Macdonald, I.2)."""
+    row = [{} for _ in range(m + 1)]
+    for signs in itertools.product((-1, 0, 1), repeat=len(coords)):
+        lam = [0] * n
+        for j, s in zip(coords, signs):
+            lam[j - 1] = s
+        lam, z = tuple(lam), signs.count(0)
+        for pairs in range(z + 1):
+            l = len(coords) - z + 2 * pairs
+            if l <= m:
+                row[l][lam] = comb(z, pairs)
+    return [GroupRingElement(n, terms) for terms in row]
 
 
 def _hyperbolic_vars(n, k):
@@ -148,14 +159,9 @@ def _hyperbolic_vars(n, k):
     return [_mono(n, _eps(n, j)) for j in signed]
 
 
-def complete_h(n, l, k):
-    """H_l^k: h_l in the 2k variables e^{+-eps_1..k}."""
-    return h_poly(_hyperbolic_vars(n, k), l)
-
-
 def elementary_E(n, l):
     """E_l: e_l in the 2n variables e^{+-eps_1..n}."""
-    return e_poly(_hyperbolic_vars(n, n), l)
+    return _e_row(n, range(1, n + 1), l)[l]
 
 
 def csym_nested_lhs(variables, m):
@@ -201,23 +207,18 @@ def check_csym_props(n_max=4):
     symmetry of the hyperbolic elementary polynomials."""
     degrees = range(1, 7)
     for nv in range(1, n_max + 1):
-        hv = _hyperbolic_vars(nv, nv)
-        ok = h_poly(hv, 0) == GroupRingElement.one(nv)
+        ok = _h_row(_hyperbolic_vars(nv, nv), 0) == [GroupRingElement.one(nv)]
         yield ("csym-1-n%d" % nv, ok, "")
+    hd = _diffs(_h_row(_hyperbolic_vars(1, 1), degrees[-1]))
     for m in degrees:
-        n = 1
-        x1 = _mono(n, (1,))
-        lhs = _mono(n, (m,)) + _mono(n, (-m,))
-        pair = [x1, _mono(n, (-1,))]
-        ok = lhs == h_poly(pair, m) - h_poly(pair, m - 2)
+        ok = _mono(1, (m,)) + _mono(1, (-m,)) == hd[m]
         yield ("csym-2-m%d" % m, ok, "")
     # csym-3: the nested sum in two variables (any n_max); csym-4: more
     for nv in range(2, max(n_max, 2) + 1):
         variables = [_mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
-        hv = _hyperbolic_vars(nv, nv)
+        hd = _diffs(_h_row(_hyperbolic_vars(nv, nv), degrees[-1]))
         for m in degrees:
-            lhs = csym_nested_lhs(variables, m)
-            ok = lhs == h_poly(hv, m) - h_poly(hv, m - 2)
+            ok = csym_nested_lhs(variables, m) == hd[m]
             cid = "csym-3-m%d" % m if nv == 2 else "csym-4-n%d-m%d" % (nv, m)
             yield (cid, ok, "")
     for n in range(1, n_max + 1):
@@ -231,15 +232,10 @@ def system_row(n, k):
     sum over l <= n-k of (-1)^l (H^{k+1}_{n-l-k} - H^{k+1}_{n-l-k-2}) X_l."""
     if not 0 <= k <= n - 1:
         raise ConfigError("k out of range")
-    coeffs = []
-    for l in range(n + 1):
-        if l > n - k:
-            coeffs.append(GroupRingElement.zero(n))
-            continue
-        c = (complete_h(n, n - l - k, k + 1)
-             - complete_h(n, n - l - k - 2, k + 1))
-        coeffs.append(c if l % 2 == 0 else -c)
-    return tuple(coeffs)
+    hd = _diffs(_h_row(_hyperbolic_vars(n, k + 1), n - k))
+    zero = GroupRingElement.zero(n)
+    return tuple(hd[n - l - k] * (-1) ** l if l <= n - k else zero
+                 for l in range(n + 1))
 
 
 def assemble_system(n):
@@ -355,7 +351,7 @@ def _gf_row_products(n, k, d_t):
     tail = _tail_vars(n, k)
     minus = [-x for x in hv]
     hs = _h_row(hv, d_t)
-    hd = [hs[l] - hs[l - 2] if l >= 2 else hs[l] for l in range(d_t + 1)]
+    hd = _diffs(hs)
     alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
     # row k's factors first, so alt shrinks to 1 - t^2 before it grows
     return (_t_factors(hs, minus, d_t),
@@ -372,7 +368,8 @@ def check_generating_identities(n):
     gf-2 compares the product of the 2n factors (1 + x t) with the
     elementary_E list, so it alone covers the E_m; gf-3 multiplies by
     the same 2n factors and checks the product against the tail factors
-    times (1 - t^2) and against e_poly over the tail variables."""
+    times (1 - t^2) and against e_l - e_{l-2} over the tail variables.
+    Both expectations are closed forms (`_e_row`), not factor products."""
     d_t = 2 * n + 2
     one = GroupRingElement.one(n)
     zero = GroupRingElement.zero(n)
@@ -385,9 +382,7 @@ def check_generating_identities(n):
         lhs, rhs = _t_trim(lhs), _t_trim(rhs)
         ok = lhs == rhs
         ok = ok and len(rhs) - 1 <= 2 * (n - k - 1) + 2
-        tail = _tail_vars(n, k)
-        expect = [e_poly(tail, m, n) - e_poly(tail, m - 2, n)
-                  for m in range(2 * (n - k - 1) + 3)]
+        expect = _diffs(_e_row(n, range(k + 2, n + 1), 2 * (n - k - 1) + 2))
         ok = ok and rhs == _t_trim(expect)
         ok = ok and (len(lhs) <= n - k or lhs[n - k].is_zero())
         yield ("gf-3-k%d" % k, ok, "")

@@ -6,6 +6,7 @@ their values from the definitions through the public ring API only
 code with the kernel they check.  pytest does not collect this module.
 """
 
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from qkc.ichevalley import (
@@ -25,6 +26,31 @@ def act_weight(w, lam):
     for img, c in zip(w.window, lam):
         out[abs(img) - 1] += c if img > 0 else -c
     return tuple(out)
+
+
+def _monomial_sum(n, variables, index_tuples):
+    """The sum over the index tuples of the products of those one-term
+    variables, by adding their exponent tuples."""
+    out = {}
+    for indices in index_tuples:
+        exps, coeff = (0,) * n, 1
+        for i in indices:
+            (e, c), = variables[i].terms.items()
+            exps, coeff = tuple(map(add, exps, e)), coeff * c
+        out[exps] = out.get(exps, 0) + coeff
+    return GroupRingElement(n, out)
+
+
+def h_brute(n, variables, m):
+    """h_m: the sum of all products of m of the one-term variables,
+    repetition allowed."""
+    return _monomial_sum(n, variables, combinations_with_replacement(
+        range(len(variables)), m))
+
+
+def e_brute(n, variables, m):
+    """e_m: the sum of all products of m distinct one-term variables."""
+    return _monomial_sum(n, variables, combinations(range(len(variables)), m))
 
 
 def demazure_D_fraction(i, f):

@@ -7,7 +7,7 @@ import pytest
 
 from qkc import ichevalley, qbg, qkpres, relations, rings, semimod, verify
 from qkc.cli import main
-from qkc.rings import GroupRingElement, QExtElement
+from qkc.rings import GroupRingElement, Poly, QExtElement
 from qkc.verify import SUITES, run_suite
 from qkc.weylc import _eps, pairing
 
@@ -291,6 +291,18 @@ def test_broken_elementary_E_fails_gf2_and_the_solution(monkeypatch, capsys):
     assert not any(cid.startswith("gf-3") for cid in failing)
 
 
+def test_a_sign_flip_in_the_shift_add_fails_the_e_checks(monkeypatch, capsys):
+    # a - x*b in place of a + x*b: the factor products and the h rows
+    # change, but E is built in closed form, so the checks against it fail
+    original = Poly.add_shifted
+    monkeypatch.setattr(Poly, "add_shifted",
+                        lambda self, x, b: original(self, -x, b))
+    code, failing = _failing_relations_checks(capsys)
+    assert code == 1
+    assert {"gf-2", "gf-3-k0", "gf-3-k1", "solution-is-elementary",
+            "rows-annihilate-elementary"} <= set(failing)
+
+
 def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
     original = relations.demazure_D
 
@@ -410,7 +422,7 @@ def test_wrong_P0_fails_the_first_staircase_step(monkeypatch, capsys,
 
 def test_exact_mode_ignores_trunc(capsys):
     code, out = run(capsys, "verify", "--n", "1", "--mode", "exact",
-                    "--suite", "semimod", "--json")
+                    "--trunc", "3", "--suite", "semimod", "--json")
     assert code == 0
     report = json.loads(out)["reports"][0]
     assert report["mode"] == "exact"
@@ -454,14 +466,37 @@ def test_show_reads_one_variant_flag(capsys):
     _, upper = run(capsys, "show", "schubert", "--n", "2", "--variant", "1")
     _, barred = run(capsys, "show", "schubert", "--n", "2", "--variant", "1bar")
     assert upper != barred
-    for argv, err in ((["show", "schubert", "--n", "2"], "requires --variant"),
-                      (["show", "schubert", "--n", "2", "--k", "1"], "--k"),
+    for argv, err in ((["show", "schubert", "--n", "2"],
+                       "arguments are required: --variant"),
+                      (["show", "schubert", "--n", "2", "--variant", "1",
+                        "--k", "1"], "--k"),
                       (["show", "f", "--n", "2", "--l", "1", "--barred"],
                        "--barred")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert err in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "ideal", "--n", "1", "--variant", "1bar"],
+    ["show", "ideal", "--n", "1", "--l", "3"],
+    ["show", "schubert", "--n", "2", "--variant", "1", "--l", "5"],
+])
+def test_show_rejects_flags_the_object_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % argv[-2] in err
+
+
+def test_show_usage_names_the_object(capsys):
+    with pytest.raises(SystemExit):
+        main(["show", "f", "--n", "2"])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qkc show f ")
+    assert "arguments are required: --l" in err
 
 
 def test_invalid_rank_is_usage_error(capsys):
@@ -510,6 +545,17 @@ def test_bad_config_is_usage_error(capsys, tmp_path, text):
     key = (text or "").split("=")[0].strip()
     if key in ("suite", "mdoe"):
         assert "unknown config key %r" % key in err
+
+
+def test_bad_config_value_reports_under_verify_usage(capsys, tmp_path):
+    cfg = tmp_path / "qkc.cfg"
+    cfg.write_text("mode = fast\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qkc verify ")
+    assert "argument --mode: invalid choice: 'fast'" in err
 
 
 def test_every_suite_runs_at_rank_two():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,12 +12,9 @@ from qkc.relations import (
     check_csym_props,
     check_generating_identities,
     check_system,
-    complete_h,
     csym_nested_lhs,
     derivation_chain,
-    e_poly,
     elementary_E,
-    h_poly,
     secondary_literal,
     solve_system,
     system_arbitrary,
@@ -23,6 +22,8 @@ from qkc.relations import (
 )
 from qkc.rings import ConfigError, GroupRingElement, Poly
 from qkc.weylc import _eps
+
+from oracles import e_brute, h_brute
 
 
 def mono(n, exps, coeff=1):
@@ -107,9 +108,11 @@ def test_complete_symmetric_props():
 
 def test_h_conventions():
     hv = [mono(1, (1,)), mono(1, (-1,))]
-    assert h_poly(hv, 0) == GroupRingElement.one(1)
-    assert h_poly(hv, -1).is_zero()
-    assert h_poly(hv, 2) == mono(1, (2,)) + 1 + mono(1, (-2,))
+    row = relations._h_row(hv, 2)
+    assert row[0] == GroupRingElement.one(1)
+    # h_{-1} = h_{-2} = 0 in the differences h_l - h_{l-2}
+    assert relations._diffs(row)[:2] == row[:2]
+    assert row[2] == mono(1, (2,)) + 1 + mono(1, (-2,))
 
 
 def test_elementary_examples():
@@ -119,8 +122,44 @@ def test_elementary_examples():
                                   + mono(n, (0, -1)) + mono(n, (-1, 0)))
     for l in range(1, n + 1):
         assert elementary_E(n, n + l) == elementary_E(n, n - l)
-    assert e_poly([], 0, n) == GroupRingElement.one(n)
-    assert e_poly([], 1, n).is_zero()
+    empty = relations._e_row(n, (), 1)
+    assert empty[0] == GroupRingElement.one(n)
+    assert empty[1].is_zero()
+
+
+def _hyperbolic(n, coords):
+    """e^{eps_j}, then e^{-eps_j}, for j in coords."""
+    return ([mono(n, _eps(n, j)) for j in coords]
+            + [mono(n, _eps(n, j, -1)) for j in coords])
+
+
+def _subsets(n):
+    return [c for size in range(n + 1)
+            for c in combinations(range(1, n + 1), size)]
+
+
+def test_h_row_matches_brute_force():
+    for n in range(1, 5):
+        for coords in _subsets(n)[1:]:
+            hv = _hyperbolic(n, coords)
+            assert relations._h_row(hv, 5) == \
+                [h_brute(n, hv, m) for m in range(6)], (n, coords)
+
+
+def test_e_row_matches_brute_force():
+    for n in range(1, 5):
+        for coords in _subsets(n):
+            top = 2 * len(coords) + 1
+            assert relations._e_row(n, coords, top) == \
+                [e_brute(n, _hyperbolic(n, coords), m)
+                 for m in range(top + 1)], (n, coords)
+
+
+def test_elementary_E_matches_brute_force():
+    for n in range(1, 5):
+        hv = _hyperbolic(n, range(1, n + 1))
+        for l in range(2 * n + 2):
+            assert elementary_E(n, l) == e_brute(n, hv, l), (n, l)
 
 
 def test_csym_nested_equals_h_difference():
@@ -129,19 +168,19 @@ def test_csym_nested_equals_h_difference():
                  for j in range(nv)]
     hv = variables + [mono(nv, tuple(-e for e in v.sorted_terms()[0][0]))
                       for v in reversed(variables)]
+    hd = relations._diffs(relations._h_row(hv, 4))
     for m in range(1, 5):
-        assert csym_nested_lhs(variables, m) == \
-            h_poly(hv, m) - h_poly(hv, m - 2)
+        assert csym_nested_lhs(variables, m) == hd[m]
 
 
 def test_nested_sum_covers_two_to_five_variables():
     # two variables are the csym-3 side and the printed k = 1 relation
     for nv in range(2, 6):
         variables = [mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
-        hv = relations._hyperbolic_vars(nv, nv)
+        hd = relations._diffs(
+            relations._h_row(relations._hyperbolic_vars(nv, nv), 6))
         for m in range(7):
-            assert csym_nested_lhs(variables, m) == \
-                h_poly(hv, m) - h_poly(hv, m - 2), (nv, m)
+            assert csym_nested_lhs(variables, m) == hd[m], (nv, m)
     with pytest.raises(ConfigError):
         csym_nested_lhs([mono(1, (1,))], 2)
 
@@ -194,8 +233,11 @@ def test_generating_identities():
 def test_row_matches_complete_h():
     n, k = 3, 1
     row = system_row(n, k)
+    hv = relations._hyperbolic_vars(n, k + 1)
     for l in range(n - k + 1):
-        expect = complete_h(n, n - l - k, k + 1) - complete_h(n, n - l - k - 2, k + 1)
+        expect = h_brute(n, hv, n - l - k)
+        if n - l - k >= 2:
+            expect = expect - h_brute(n, hv, n - l - k - 2)
         assert row[l] == (expect if l % 2 == 0 else -expect)
 
 
@@ -234,7 +276,7 @@ def _dense_gf_products(n, k, d_t):
     denom = [one]
     for x in relations._hyperbolic_vars(n, k + 1):
         denom = _t_mul(denom, [one, -x], d_t)
-    hs = [complete_h(n, l, k + 1) for l in range(d_t + 1)]
+    hs = relations._h_row(relations._hyperbolic_vars(n, k + 1), d_t)
     hd = [hs[l] - (hs[l - 2] if l >= 2 else zero) for l in range(d_t + 1)]
     alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
     es = [elementary_E(n, m) for m in range(2 * n + 1)]
