@@ -1,7 +1,7 @@
 """Borel-side polynomial model.
 
 Laurent polynomials in z_1..z_n over Novikov coefficients, with the
-zeta/eta/phi coefficient functions, the elements F_l and their upper and
+zeta/eta coefficient functions, the elements F_l and their upper and
 barred variants, the ideal generators F_l - E_l, Schubert-class
 polynomials, and the translation map into the semi-infinite module.
 
@@ -9,10 +9,10 @@ zeta and eta read the index set I only through `semimod._case`, and
 their values, like the factors `_z_factor` of the translation map, are
 built once per small-int key and shared.  `f_poly` asks `zeta` for every
 factor and multiplies them through `rings.product`, once per sequence of
-factor objects, and `factorization_holds` asks zeta, eta and phi for
-every position and decides zeta * eta = phi once per triple of returned
-objects.  Neither keeps a table keyed by I, so a coefficient function
-changed after a run is still read at the next one.
+factor objects; it keeps no table keyed by I, so a coefficient function
+changed after a run is still read at the next one.  The factorization
+zeta * eta = semimod.phi is checked by the same sweep in `verify` as
+phi * theta = psi.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .rings import (
     NovikovFraction,
     NovikovSeries,
     ZLaurentElement,
-    identity_memo,
     product,
 )
 from .semimod import (
@@ -36,10 +35,9 @@ from .semimod import (
     _eps_I as eps_I,
     _t_mono,
     _variant_pool,
-    phi,
     universe,
 )
-from .weylc import SignedPerm, _eps, order_key
+from .weylc import SignedPerm, _eps
 
 
 def _unit(n, trunc):
@@ -89,28 +87,6 @@ def _eta(n, j, case, trunc):
         # at j = 1bar, Q_0 := 0 makes this factor 1
         out = NovikovFraction.geometric(n, -j - 1)
     return out
-
-
-@identity_memo
-def _factors_to(zeta_j, eta_j, phi_j):
-    return zeta_j * eta_j == phi_j
-
-
-def factorization_holds(n, I, trunc=None):
-    """zeta * eta = phi at every position of [1,1bar] for the index set I."""
-    return all(_factors_to(zeta(n, I, j, trunc), eta(n, I, j, trunc),
-                           phi(n, I, j, trunc))
-               for j in universe(n))
-
-
-def check_coefficient_factorization(n, trunc=None):
-    """zeta * eta = phi for every subset of [1,1bar] and every position."""
-    pool = universe(n)
-    for size in range(len(pool) + 1):
-        for I in itertools.combinations(pool, size):
-            label = sorted(I, key=lambda x: order_key(n, x))
-            yield ("zeta-eta-phi-I%s" % (label,),
-                   factorization_holds(n, I, trunc), "")
 
 
 def f_poly(n, l, variant="full", k=None, trunc=None):

@@ -18,11 +18,11 @@ per truncation however many index sets are asked about.
 `psi_product` still asks `psi` for every factor, but multiplies them
 through `rings.product`: the product is built once per sequence of
 factor objects, which are those shared values, so index sets with the
-same factors share one product; likewise the phi * theta = psi sweep
-in `verify` decides the identity once per triple of factor objects.  A
-table keyed by I instead would hand out a stale product after `psi`
-changed.  `jab_sets` reads one table per rank, the index sets grouped
-by size and eps_I.
+same factors share one product; likewise the one factor sweep in
+`verify` decides phi * theta = psi, and zeta * eta = phi, once per
+triple of factor objects.  A table keyed by I instead would hand out a
+stale product after `psi` changed.  `jab_sets` reads one table per rank,
+the index sets grouped by size and eps_I.
 """
 
 from __future__ import annotations
@@ -156,16 +156,9 @@ class SemiModElement(KeyedSum):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, w, lam=None, coeff=None, trunc=None):
-        n = w.n
-        lam = tuple(lam) if lam is not None else (0,) * n
-        if coeff is None:
-            coeff = NovikovSeries.one(n, trunc)
-        return cls(n, [((w, lam), coeff)])
-
-    @classmethod
     def one(cls, n, trunc=None):
-        return cls.basis(SignedPerm.identity(n), trunc=trunc)
+        return cls(n, [((SignedPerm.identity(n), (0,) * n),
+                        NovikovSeries.one(n, trunc))])
 
     def tensor(self, mu):
         return SemiModElement(self.n, (

@@ -7,6 +7,10 @@ shared by several checks is charged to the first check that uses it.
 It also times the whole suite, which `--timings` prints as a total line
 (a sum of the rounded per-check lines would read high).  Every check
 runs in order on the calling thread, so profilers see all of the work.
+
+The two coefficient factorizations of the qkpres suite, zeta * eta = phi
+on the z-side and phi * theta = psi on the semi-infinite side, share one
+sweep, `_factor_sweep`, over every (I, j) at the run's degree and exact.
 """
 
 from __future__ import annotations
@@ -162,25 +166,26 @@ def _suite_relations(n, trunc):
     yield from relations.check_generating_identities(n)
 
 
-def _check_phi_theta_psi(n, trunc):
-    """phi * theta = psi at every (I, j), truncated and exact.  The three
-    functions are asked at every (I, j), and the identity is decided once
-    per triple of returned objects in this sweep."""
+def _factor_sweep(cid, n, trunc, left, right, target):
+    """left * right = target at every (I, j), at the run's degree and
+    exact.  The three functions are asked at every (I, j), and the
+    identity is decided once per triple of returned objects in this
+    sweep, so a function changed after a run is still read at the next."""
     degree = trunc if trunc is not None else 2 * n + 2
     pool = semimod.universe(n)
-    holds = identity_memo(lambda phi, theta, psi: phi * theta == psi)
+    holds = identity_memo(lambda a, b, c: a * b == c)
 
     def fails(I, j, trunc):
-        return not holds(semimod.phi(n, I, j, trunc),
-                         semimod.theta_sinf(n, I, j, trunc),
-                         semimod.psi(n, I, j, trunc))
+        return not holds(left(n, I, j, trunc), right(n, I, j, trunc),
+                         target(n, I, j, trunc))
 
-    return _sweep("phi-theta-equals-psi", (
+    return _sweep(cid, (
         "I=%s j=%s" % (I, j)
         for size in range(len(pool) + 1)
         for I in itertools.combinations(pool, size)
+        for index_set in (frozenset(I),)
         for j in pool
-        if fails(I, j, degree) or fails(I, j, None)))
+        if fails(index_set, j, degree) or fails(index_set, j, None)))
 
 
 def _suite_qkpres(n, trunc):
@@ -188,10 +193,11 @@ def _suite_qkpres(n, trunc):
         return (qkpres.to_semimod(qkpres.f_poly(n, l, variant, k, trunc))
                 == semimod.ff(n, l, variant, k, trunc))
 
-    yield _sweep("zeta-eta-equals-phi", (
-        cid for cid, ok, _ in qkpres.check_coefficient_factorization(n, trunc)
-        if not ok))
-    yield _check_phi_theta_psi(n, trunc)
+    # looked up on their modules at each run, so a patched function is read
+    yield _factor_sweep("zeta-eta-equals-phi", n, trunc,
+                        qkpres.zeta, qkpres.eta, semimod.phi)
+    yield _factor_sweep("phi-theta-equals-psi", n, trunc,
+                        semimod.phi, semimod.theta_sinf, semimod.psi)
     yield _sweep("dictionary-f-to-module", (
         "l=%d" % l for l in range(2 * n + 1) if not matches(l)))
     yield _sweep("dictionary-variants", (

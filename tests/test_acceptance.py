@@ -118,15 +118,15 @@ def test_criterion_08_symmetric_function_suite():
 def test_criterion_09_factorization_lemmas():
     ok = True
     for n in range(1, 6):
-        ok = ok and all(
-            r[1] for r in qkpres.check_coefficient_factorization(n))
         pool = semimod.universe(n)
         for size in range(len(pool) + 1):
             for I in itertools.combinations(pool, size):
                 for j in pool:
-                    lhs = (semimod.phi(n, I, j)
-                           * semimod.theta_sinf(n, I, j))
-                    ok = ok and lhs == semimod.psi(n, I, j)
+                    phi = semimod.phi(n, I, j)
+                    ok = ok and (qkpres.zeta(n, I, j) * qkpres.eta(n, I, j)
+                                 == phi)
+                    ok = ok and (phi * semimod.theta_sinf(n, I, j)
+                                 == semimod.psi(n, I, j))
     report("09 both coefficient factorizations hold over all subsets, "
            "exactly", ok)
 

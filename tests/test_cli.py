@@ -113,21 +113,6 @@ def test_suites_run_on_the_calling_thread(monkeypatch):
     assert seen and set(seen) == {threading.get_ident()}
 
 
-def test_phi_theta_psi_reports_first_failure(monkeypatch):
-    original = semimod.psi
-    broken = {((), 2), ((1, 2, -2, -1), -1)}
-
-    def psi(n, I, j, trunc=None):
-        value = original(n, I, j, trunc)
-        return value + value if (tuple(I), j) in broken else value
-
-    monkeypatch.setattr(semimod, "psi", psi)
-    cid, ok, location = verify._check_phi_theta_psi(2, None)
-    assert cid == "phi-theta-equals-psi"
-    assert not ok
-    assert location == "I=() j=2"
-
-
 def _succ(n, j):
     return j + 1 if j < n else -n
 
@@ -135,6 +120,19 @@ def _succ(n, j):
 def _qkpres_checks(mode):
     return {cid: (ok, location)
             for cid, ok, location, _ in run_suite("qkpres", 2, mode).checks}
+
+
+def test_phi_theta_psi_reports_first_failure(monkeypatch):
+    original = semimod.psi
+    broken = {(frozenset(), 2), (frozenset({1, 2, -2, -1}), -1)}
+
+    def psi(n, I, j, trunc=None):
+        value = original(n, I, j, trunc)
+        return value + value if (frozenset(I), j) in broken else value
+
+    monkeypatch.setattr(semimod, "psi", psi)
+    assert _qkpres_checks("exact")["phi-theta-equals-psi"] == (
+        False, "I=() j=2")
 
 
 @pytest.mark.parametrize("mode", ["truncated", "exact"])
@@ -146,9 +144,7 @@ def test_broken_phi_case_fails_both_factorizations(monkeypatch, mode):
             return original(n, (), j, trunc)  # 1 instead of 1/(1 - Q_j)
         return original(n, I, j, trunc)
 
-    # verify looks phi up in semimod, the coefficient table in qkpres
     monkeypatch.setattr(semimod, "phi", phi)
-    monkeypatch.setattr(qkpres, "phi", phi)
     checks = _qkpres_checks(mode)
     for cid in ("zeta-eta-equals-phi", "phi-theta-equals-psi"):
         ok, location = checks[cid]
@@ -169,12 +165,27 @@ def test_broken_zeta_case_fails_the_zeta_side_only(monkeypatch, mode):
     # F_l is built from zeta, so the dictionary checks see the fault too;
     # the semi-infinite factorization and the Q = 0 specialization do not.
     assert checks == {
-        "zeta-eta-equals-phi": (False, "zeta-eta-phi-I[1]"),
+        "zeta-eta-equals-phi": (False, "I=(1,) j=1"),
         "phi-theta-equals-psi": (True, ""),
         "dictionary-f-to-module": (False, "l=1"),
         "dictionary-variants": (False, "upper k=1 l=1"),
         "specialization-at-Q-zero": (True, ""),
     }
+
+
+def test_an_exact_only_zeta_fault_fails_a_truncated_run(monkeypatch):
+    # each factorization is checked at the run's degree and also exact
+    original = qkpres.zeta
+
+    def zeta(n, I, j, trunc=None):
+        if trunc is None and j > 0 and j in I and _succ(n, j) not in I:
+            return original(n, (), j)
+        return original(n, I, j, trunc)
+
+    monkeypatch.setattr(qkpres, "zeta", zeta)
+    failing = {cid: location for cid, (ok, location)
+               in _qkpres_checks("truncated").items() if not ok}
+    assert failing == {"zeta-eta-equals-phi": "I=(1,) j=1"}
 
 
 @pytest.mark.parametrize("mode", ["truncated", "exact"])
@@ -209,7 +220,6 @@ def test_a_late_psi_fault_shows_in_semimod_and_qkpres(monkeypatch, mode):
     # products and verdicts are kept per sequence of factor objects; a table
     # keyed by the index set would hand out the clean run's products
     rings.product.cache_clear()
-    qkpres._factors_to.cache_clear()
     fresh = _failing_with_psi_doubled_at_1_2(monkeypatch, mode)
     assert fresh == [
         "rec-staircase-k0", "rec-staircase-k1", "rec-mountain-k2",
@@ -227,11 +237,13 @@ SHARED_TABLES = [
     (rings, "geometric_inverse"), (semimod, "_t_mono"), (qkpres, "_t_mono"),
     (semimod, "_psi"), (semimod, "_theta_sinf"), (semimod, "_phi"),
     (qkpres, "_zeta"), (qkpres, "_eta"), (qkpres, "_z_factor"),
-    (semimod, "product"), (qkpres, "product"),
+    (semimod, "product"), (qkpres, "product"), (relations, "_elementary_row"),
 ]
 
 
 def _snapshot(value):
+    if isinstance(value, tuple):
+        return tuple(map(_snapshot, value))
     if isinstance(value, rings.NovikovFraction):
         return id(value.num), dict(value.num.terms), value.num.trunc, value.den
     return dict(value.terms), value.trunc

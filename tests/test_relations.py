@@ -106,6 +106,18 @@ def test_complete_symmetric_props():
         assert ok, name
 
 
+def test_a_doubled_shift_add_fails_the_elementary_symmetry(monkeypatch):
+    # a + 2x*b in place of a + x*b: the product of the factors (1 + x t)
+    # loses the symmetry e_{n+l} = e_{n-l}, which the closed form keeps
+    original = Poly.add_shifted
+    monkeypatch.setattr(Poly, "add_shifted",
+                        lambda self, x, b: original(self, x + x, b))
+    failing = [cid for cid, ok, _ in check_csym_props(3)
+               if cid.startswith("elementary-symmetry") and not ok]
+    assert failing == ["elementary-symmetry-n%d-l%d" % nl for nl in (
+        (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))]
+
+
 def test_h_conventions():
     hv = [mono(1, (1,)), mono(1, (-1,))]
     row = relations._h_row(hv, 2)

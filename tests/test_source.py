@@ -22,6 +22,23 @@ def test_library_has_no_assert():
         assert not lines, (path.name, lines)
 
 
+def test_library_has_no_unused_import():
+    # a name imported but never read is a leftover of deleted code
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0]
+                                for a in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= read, (path.name, sorted(imported - read))
+
+
 # Kernel internals: the packed term map and its helpers.  Every other
 # module, and the test oracles, go through `.terms`, `sorted_terms` and
 # the constructors, so the key layout can change without touching them.
