@@ -82,7 +82,14 @@ def _read_config(path):
     return flags
 
 
-def _int_at_least(low):
+# The largest --trunc.  A truncated series keeps up to one term per
+# degree, so time and memory grow with trunc (verify --n 1 takes about
+# 0.2 s and 19 MiB at 10,000, and 10 s and 386 MiB at 10^6), and every
+# degree stays far below rings.MAX_EXPONENT.
+MAX_TRUNC = 10_000
+
+
+def _int_at_least(low, high=None):
     def parse(text):
         try:
             value = int(text)
@@ -90,12 +97,15 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError("expected an integer")
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d" % low)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d" % high)
         return value
     return parse
 
 
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
+_trunc = _int_at_least(1, MAX_TRUNC)
 
 
 def _suite_names(text):
@@ -115,7 +125,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--n", type=_positive_int, default=2)
-    p.add_argument("--trunc", type=_positive_int,
+    p.add_argument("--trunc", type=_trunc,
                    help="truncated mode: the Novikov degree at which the "
                         "semimod and qkpres series are cut (default 2n+2); "
                         "relations always cuts its t-polynomials at 2n+2, "
@@ -142,7 +152,7 @@ def build_parser():
         if what != "ideal":
             s.add_argument("--variant", type=_variant, default=("full", None),
                            required=what == "schubert")
-        s.add_argument("--trunc", type=_positive_int)
+        s.add_argument("--trunc", type=_trunc)
         s.add_argument("--json", action="store_true")
 
     p = sub.add_parser("qbg", help="quantum Bruhat graph utilities")

@@ -30,10 +30,7 @@ class SemiClassSum(KeyedSum):
         n = w.n
         xi = tuple(xi) if xi is not None else (0,) * n
         lam = tuple(lam) if lam is not None else (0,) * n
-        if isinstance(coeff, QExtElement):
-            c = coeff
-        else:
-            c = QExtElement.monomial(n, (0,) * n, coeff=coeff, qexp=qexp)
+        c = QExtElement.monomial(n, (0,) * n, coeff=coeff, qexp=qexp)
         return cls(n, [((w, xi, lam), c)])
 
     def sorted_terms(self):
@@ -179,12 +176,11 @@ def cancellation_report(n, k):
         l, l-1, ..., j; top is l + 1 in family 1 and l in family 2."""
         return tuple(-t for t in range(k + 1, top)) + tuple(range(l, j - 1, -1))
 
+    # every family (j, l) has both chains, so one missing is a fault
     pairs = []
     for j in range(1, n + 1):
         for l in range(max(j, k + 1), n + 1):
             c1, c2 = family(j, l, l + 1), family(j, l, l)
-            if c1 not in blocks and c2 not in blocks:
-                continue
             if c1 not in blocks or c2 not in blocks:
                 location = location or (
                     "cancellation pairing failed at j=%d l=%d" % (j, l))

@@ -126,8 +126,8 @@ def schubert_poly(n, k, variant="upper", trunc=None):
     else:
         raise ConfigError("unknown variant %r" % variant)
     return ZLaurentElement.sum_of(n, (
-        f_poly(n, l, variant, k, trunc)
-        * GroupRingElement.monomial(n, _eps(n, 1, -l), (-1) ** l)
+        f_poly(n, l, variant, k, trunc).scale(
+            GroupRingElement.monomial(n, _eps(n, 1, -l), (-1) ** l))
         for l in range(top + 1)))
 
 

@@ -167,10 +167,10 @@ def _elementary_row(n):
 
 
 def elementary_E(n, l):
-    """E_l: e_l in the 2n variables e^{+-eps_1..n}, 0 outside 0..2n."""
-    if 0 <= l <= 2 * n:
-        return _elementary_row(n)[l]
-    return GroupRingElement.zero(n)
+    """E_l: e_l in the 2n variables e^{+-eps_1..n}, 0 <= l <= 2n."""
+    if not 0 <= l <= 2 * n:
+        raise ConfigError("l out of range")
+    return _elementary_row(n)[l]
 
 
 def csym_nested_lhs(variables, m):
@@ -186,7 +186,7 @@ def csym_nested_lhs(variables, m):
     def power(x, e):
         if e >= 0:
             return x ** e
-        exps, c = x.monomial_or_none()
+        (exps, c), = x.terms.items()
         return GroupRingElement.monomial(n, tuple(-a for a in exps), c) ** -e
 
     total = GroupRingElement.zero(n)
@@ -264,16 +264,16 @@ def solve_system(n):
 
 def _solve_rows(n, rows):
     """Solve the n rows of a triangular system with X_0 = 1."""
-    values = [GroupRingElement.one(n)] + [None] * n
+    one = GroupRingElement.one(n)
+    values = [one] + [None] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        lead = row[n - k].monomial_or_none()
-        if lead is None or lead[0] != (0,) * n or lead[1] not in (1, -1):
+        if row[n - k] not in (one, -one):
             raise SolverError("leading coefficient of row %d is not a unit" % k)
         acc = GroupRingElement.zero(n)
         for l in range(n - k):
             acc = acc + row[l] * values[l]
-        values[n - k] = acc * (-lead[1])
+        values[n - k] = acc * -row[n - k]
     return tuple(values)
 
 

@@ -34,9 +34,11 @@ layout.  Values are not hashable: tables key by ints, tuples or object
 identity, never by a term map.
 
 Every exponent, deg included, lies in [-MAX_EXPONENT, MAX_EXPONENT].
-Each value carries a bound on its exponents, so an operation checks once,
-not per term, that the keys it adds cannot leave that range, and raises
-ConfigError where they could: a key never wraps into its neighbour slot.
+Each value carries a bound on its exponents: the largest exponent of the
+terms it is built from, and for a product the sum of its operands'
+bounds.  A product whose bound leaves the range raises ConfigError, even
+where each pair of terms would fit, so no term is checked and a key
+never wraps into its neighbour slot.
 
 The packed map is private to this module.  `.terms` is a decoded copy
 with the exponent tuples above as keys, `sorted_terms` lists the terms in
@@ -51,8 +53,8 @@ polynomial gcd, so a fraction prints its numerator as it was computed.
 KeyedSum is a finite sum over hashable basis keys with Poly or
 NovikovFraction coefficients, built from (key, coefficient) pairs in one
 pass.  ZLaurentElement (keys: exponent vectors of z_1..z_n),
-semimod.SemiModElement and ichevalley.SemiClassSum add only their keys'
-printed form and their own products.
+semimod.SemiModElement and ichevalley.SemiClassSum add their keys'
+printed form; a sum is multiplied only by a ring element, with `scale`.
 
 Values are immutable and may be shared between callers: every operation
 returns a new value, and no code mutates a term map (or a fraction's
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import add
 
 # A slot holds a balanced digit -M..M, M = MAX_EXPONENT = (S - 1) / 2,
 # for the odd slot base S = _BASE.  S is not a power of two: Python
@@ -135,27 +136,6 @@ def _reach(value):
     return value._reach if isinstance(value, Poly) else 0
 
 
-def _slot_ranges(p, decode):
-    """(least, greatest) exponent in each slot over p's terms."""
-    return [(min(col), max(col)) for col in zip(*map(decode, p._packed))]
-
-
-def _slot_reach(a, b):
-    """The greatest exponent, in absolute value, of a sum of a key of a
-    and one of b, for Polys of one rank whose bounds add up past the
-    range: the bound is redone slot by slot, from each operand's least
-    and greatest exponent there.  Raises ConfigError when a pair of
-    terms would put an exponent out of range."""
-    if not (a._packed and b._packed):
-        return 0
-    decode = _decoder(_slots(max(a._level, b._level), a.n))
-    reach = max(max(-la - lb, ha + hb) for (la, ha), (lb, hb) in zip(
-        _slot_ranges(a, decode), _slot_ranges(b, decode)))
-    if reach > MAX_EXPONENT:
-        raise ConfigError("exponent out of range in a product")
-    return reach
-
-
 class Poly:
     """Sparse polynomial with integer coefficients over packed int keys.
 
@@ -169,18 +149,19 @@ class Poly:
     def __init__(self, n, terms=None, trunc=None):
         """terms: a dict from exponent tuples of this layout to ints."""
         slots = _slots(self._level, n)
+        cut = _cut(n, trunc)
         packed, reach = {}, 0
         for key, v in (terms or {}).items():
             if v:
                 if len(key) != slots:
                     raise ConfigError("key %r does not fit the layout" % (key,))
-                reach = max(reach, *map(abs, key))
-                packed[_encode(key)] = v
-        if reach > MAX_EXPONENT:
-            raise ConfigError("exponent out of range: %d" % reach)
-        cut = _cut(n, trunc)
-        if cut is not None:
-            packed = {k: v for k, v in packed.items() if k < cut}
+                top = max(map(abs, key))
+                if top > MAX_EXPONENT:
+                    raise ConfigError("exponent out of range: %d" % top)
+                k = _encode(key)
+                if cut is None or k < cut:
+                    packed[k] = v
+                    reach = max(reach, top)
         self.n, self.trunc, self._packed, self._reach = n, trunc, packed, reach
 
     @classmethod
@@ -263,7 +244,7 @@ class Poly:
         like, ta, tb = pair
         reach = self._reach + other._reach
         if reach > MAX_EXPONENT:
-            reach = _slot_reach(self, other)
+            raise ConfigError("exponent out of range in a product")
         cut = _cut(like.n, like.trunc)
         if len(ta) == 1:
             ta, tb = tb, ta
@@ -283,19 +264,17 @@ class Poly:
     __rmul__ = __mul__
 
     def add_shifted(self, x, b):
-        """self + x*b for an x of at most one term, in one pass over b's
-        terms without building x*b.  Layouts, truncation and errors are
-        those of self + x * b; an x with more terms is a ConfigError."""
-        if not isinstance(x, Poly) or len(x._packed) > 1:
+        """self + x*b for a one-term x, in one pass over b's terms without
+        building x*b.  Layouts, truncation and errors are those of
+        self + x * b; any other x is a ConfigError."""
+        if not isinstance(x, Poly) or len(x._packed) != 1:
             raise ConfigError("add_shifted needs a one-term x, not %r" % (x,))
         like, tx, tb = x._pair(b)
         like, ta, _ = self._pair(like)
         reach = x._reach + _reach(b)
         if reach > MAX_EXPONENT:
-            reach = _slot_reach(x, b)
+            raise ConfigError("exponent out of range in a product")
         reach = max(self._reach, reach)
-        if not tx:
-            return like._like(ta, reach)
         (kx, vx), = tx.items()
         cut = _cut(like.n, like.trunc)
         out = dict(ta)
@@ -325,9 +304,10 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, Poly) and (
-                self.n != other.n or (self._level == other._level
-                                      and self.trunc != other.trunc)):
+        # series of two truncations are unequal; two ranks raise, as
+        # their sum does
+        if (isinstance(other, Poly) and self._level == other._level
+                and self.trunc != other.trunc):
             return False
         pair = self._pair(other)
         return NotImplemented if pair is None else pair[1] == pair[2]
@@ -339,13 +319,6 @@ class Poly:
         slots in range, int order of packed keys is that order."""
         decode = _decoder(_slots(self._level, self.n))
         return [(decode(k), v) for k, v in sorted(self._packed.items())]
-
-    def monomial_or_none(self):
-        """Return (key, coeff) if this is a single term, else None."""
-        if len(self._packed) == 1:
-            (key, coeff), = self.sorted_terms()
-            return key, coeff
-        return None
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
@@ -581,14 +554,11 @@ class NovikovFraction:
     def __eq__(self, other):
         # A truncated series is a value of the other mode, never equal to
         # an exact fraction (as series of different truncs are unequal).
-        if isinstance(other, Poly) and (other.n != self.n
-                                        or other.trunc is not None):
+        if isinstance(other, Poly) and other.trunc is not None:
             return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.n != other.n:
-            return False
         lhs = self.num * _den_poly(self.n, other.den)
         rhs = other.num * _den_poly(self.n, self.den)
         return lhs == rhs
@@ -738,18 +708,6 @@ class ZLaurentElement(KeyedSum):
     def constant(cls, n, coeff):
         return cls(n, [((0,) * n, coeff)])
 
-    def __mul__(self, other):
-        if not isinstance(other, ZLaurentElement):
-            return self.scale(other)
-        if self.n != other.n:
-            raise ConfigError("rank mismatch")
-        return ZLaurentElement(self.n, (
-            (tuple(map(add, ka, kb)), va * vb)
-            for ka, va in self.terms.items()
-            for kb, vb in other.terms.items()))
-
-    __rmul__ = __mul__
-
     def render(self):
         return _render_products((_monomial_text("z", exps), coeff.render())
                                 for exps, coeff in self.sorted_terms())
@@ -770,8 +728,9 @@ def geometric_inverse(n, j, trunc):
 def exact_div(a, d):
     """Divide a by d exactly in Z[P].
 
-    d must be a monomial or a binomial c*(e^mu - e^nu).  Raises
-    DivisibilityError when the quotient does not exist.
+    d must be a binomial c*(e^mu - e^nu); any other divisor is a
+    ConfigError.  Raises DivisibilityError when the quotient does not
+    exist.
     """
     if d.is_zero():
         raise DivisibilityError("division by zero")
@@ -782,20 +741,16 @@ def exact_div(a, d):
         return GroupRingElement.zero(n)
 
     items = d.sorted_terms()
-    if len(items) > 2:
-        raise ConfigError("divisor must be a monomial or a binomial")
-    # d = c * e^nu, or d = c * e^nu * (e^gamma - 1) with gamma the higher
-    # term; either way first divide a by c * e^nu.
+    # d = c * e^nu * (e^gamma - 1) with gamma the higher term: first
+    # divide a by c * e^nu.
     nu, c = items[0][0], items[-1][1]
-    if len(items) == 2 and items[0][1] != -c:
-        raise ConfigError("binomial divisor must have the form c*(e^mu - e^nu)")
+    if len(items) != 2 or items[0][1] != -c:
+        raise ConfigError("divisor must have the form c*(e^mu - e^nu)")
     b = {}
     for exps, v in a.terms.items():
         if v % c:
             raise DivisibilityError("coefficient %d not divisible by %d" % (v, c))
         b[tuple(x - y for x, y in zip(exps, nu))] = v // c
-    if len(items) == 1:
-        return GroupRingElement(n, b)
 
     gamma = tuple(x - y for x, y in zip(items[1][0], nu))
     gdot = lambda exps: sum(g * e for g, e in zip(gamma, exps))

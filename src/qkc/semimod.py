@@ -335,10 +335,9 @@ def jab_sets(n, A, B, k):
 
 def duality_hypothesis(n, I, A, B):
     """The sufficient condition under which psi-products match termwise:
-    k_r < max A, k_r < max B, or the tail {M+1..n} inside I."""
-    a, b, pairs = decompose_I(n, I)
-    if sorted(a) != sorted(A) or sorted(b) != sorted(B):
-        return False
+    k_r < max A, k_r < max B, or the tail {M+1..n} inside I.  I splits as
+    (A, B, pairs), as every I of `jab_sets(n, A, B, k)` does."""
+    pairs = decompose_I(n, I)[2]
     if not pairs:
         return True
     kr = max(pairs)
@@ -386,8 +385,6 @@ def check_duality(n, trunc=None):
             for k in range(st, n + 1, 2):
                 left = jab_sets(n, A, B, k)
                 right = jab_sets(n, A, B, 2 * n - k)
-                if not left:
-                    continue
                 # the star map is a bijection J^k -> J^{2n-k}
                 image = {star_map(n, I) for I in left}
                 ok = image == set(right)

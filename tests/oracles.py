@@ -88,15 +88,22 @@ def ic_lhs(w, m):
     """e^{-w(eps_m)} [O(w)] as a one-term SemiClassSum."""
     n = w.n
     weight = tuple(-x for x in act_weight(w, _eps(n, m)))
-    return SemiClassSum.basis(w, coeff=QExtElement.monomial(n, weight))
+    return weighted_class(w, weight)
+
+
+def weighted_class(w, weight, lam=None, coeff=1):
+    """coeff e^weight [O(w)(lam)] as a one-term SemiClassSum."""
+    n = w.n
+    lam = (0,) * n if lam is None else tuple(lam)
+    return SemiClassSum(n, [((w, (0,) * n, lam),
+                             QExtElement.monomial(n, weight, coeff))])
 
 
 def ic1_data(n, k):
     """Both sides of the staircase expansion: returns (lhs, rhs)."""
     if not 1 <= k <= n - 1:
         raise ConfigError("k out of range")
-    lhs = SemiClassSum.basis(
-        staircase(n, k), coeff=QExtElement.monomial(n, _eps(n, 1)))
+    lhs = weighted_class(staircase(n, k), _eps(n, 1))
     rhs = SemiClassSum.basis(staircase(n, k), lam=_eps(n, k + 1))
     rhs = rhs - SemiClassSum.basis(staircase(n, k + 1), lam=_eps(n, k + 1))
     return lhs, rhs + _staircase_block(n, k, k)
@@ -119,9 +126,9 @@ def derive_recurrence(lhs, rhs, twist, target):
     coeff = combined.terms.get(target)
     if coeff is None:
         raise ConfigError("target key absent after specialization")
-    unit = coeff.monomial_or_none()
-    if unit is None or unit[0] != (0,) * n or unit[1] not in (1, -1):
+    one = GroupRingElement.one(n)
+    if coeff not in (one, -one):
         raise ConfigError("target coefficient is not a unit")
     rest = SemiClassSum(
         n, ((k, v) for k, v in combined.terms.items() if k != target))
-    return target, rest.scale(-unit[1])
+    return target, rest.scale(-coeff)

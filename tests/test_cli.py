@@ -5,11 +5,13 @@ import threading
 import jsonschema
 import pytest
 
-from qkc import ichevalley, qbg, qkpres, relations, rings, semimod, verify
-from qkc.cli import main
-from qkc.rings import GroupRingElement, Poly, QExtElement
+from qkc import qbg, qkpres, relations, rings, semimod, verify
+from qkc.cli import MAX_TRUNC, main
+from qkc.rings import GroupRingElement, Poly
 from qkc.verify import SUITES, run_suite
-from qkc.weylc import _eps, pairing
+from qkc.weylc import _eps
+
+import faults
 
 
 def run(capsys, *argv):
@@ -316,17 +318,7 @@ def test_a_sign_flip_in_the_shift_add_fails_the_e_checks(monkeypatch, capsys):
 
 
 def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
-    original = relations.demazure_D
-
-    def demazure_D(i, f):
-        out = GroupRingElement.zero(f.n)
-        for nu, c in f.terms.items():
-            value = original(i, GroupRingElement.monomial(f.n, nu, c))
-            # the m >= 2 case without its minus sign
-            out = out + (-value if pairing(nu, _eps(f.n, i)) >= 2 else value)
-        return out
-
-    monkeypatch.setattr(relations, "demazure_D", demazure_D)
+    faults.demazure_D_sign(monkeypatch.setattr)
     code, failing = _failing_relations_checks(capsys)
     assert code == 1
     assert set(failing) == {"secondary-derivation", "chain-vs-nested-sum-k2",
@@ -353,16 +345,7 @@ def test_dropped_nested_sum_term_fails_every_reader(monkeypatch, capsys):
 
 
 def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
-    original = ichevalley._chain_blocks
-
-    def chain_blocks(w, m):
-        q = QExtElement.monomial(w.n, (0,) * w.n, qexp=1)
-        for chain, alist, block in original(w, m):
-            if len(chain) == 3 and chain[-1] > 0:
-                block = block.scale(q)
-            yield chain, alist, block
-
-    monkeypatch.setattr(ichevalley, "_chain_blocks", chain_blocks)
+    faults.uncancelled_pair(monkeypatch.setattr)
     code, failing = _failing_checks(capsys, "--n", "3", "--suite", "ic")
     assert code == 1
     assert failing["cancellation-accounting-k1"].startswith(
@@ -370,33 +353,25 @@ def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
 
 
 def test_missing_partner_fails_the_cancellation_check(monkeypatch, capsys):
-    original = ichevalley._chain_blocks
-
-    def chain_blocks(w, m):
-        # at k = 1, the family-2 chain (2, 1) cancels (2bar, 2, 1)
-        return ((chain, alist, block) for chain, alist, block
-                in original(w, m) if chain != (2, 1))
-
-    monkeypatch.setattr(ichevalley, "_chain_blocks", chain_blocks)
+    faults.missing_partner(monkeypatch.setattr)
     code, failing = _failing_checks(capsys, "--n", "3", "--suite", "ic")
     assert code == 1
     assert failing["cancellation-accounting-k1"].startswith(
-        "cancellation pairing failed at j=")
+        "cancellation pairing failed at j=1 l=2")
 
 
-def _double_the_pivots(monkeypatch):
-    original = relations.system_row
-
-    def system_row(n, k):
-        coeffs = list(original(n, k))
-        coeffs[n - k] = coeffs[n - k] + coeffs[n - k]
-        return tuple(coeffs)
-
-    monkeypatch.setattr(relations, "system_row", system_row)
+def test_a_chain_walked_twice_fails_the_cancellation_check(monkeypatch,
+                                                          capsys):
+    faults.chain_walked_twice(monkeypatch.setattr)
+    code, failing = _failing_checks(capsys, "--n", "3", "--suite", "ic")
+    assert code == 1
+    for k in (1, 2, 3):
+        assert failing["cancellation-accounting-k%d" % k].startswith(
+            "cancellation pairing failed at j=")
 
 
 def test_non_unit_pivot_fails_the_solution(monkeypatch, capsys):
-    _double_the_pivots(monkeypatch)
+    faults.doubled_pivots(monkeypatch.setattr)
     code, failing = _failing_relations_checks(capsys)
     assert code == 1
     assert failing["solution-is-elementary"] \
@@ -404,7 +379,7 @@ def test_non_unit_pivot_fails_the_solution(monkeypatch, capsys):
 
 
 def test_solve_system_reports_a_non_unit_pivot(monkeypatch, capsys):
-    _double_the_pivots(monkeypatch)
+    faults.doubled_pivots(monkeypatch.setattr)
     code, out = run(capsys, "solve-system", "--n", "3")
     assert code == 1
     assert out.startswith("FAIL") and "row 2" in out
@@ -462,6 +437,27 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert "error: argument" in err and "Traceback" not in err
     # the error names the flag at fault
     assert any("argument %s:" % a in err for a in argv if a.startswith("--"))
+
+
+def test_trunc_above_the_ceiling_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "qkc.cfg"
+    for trunc, code in ((MAX_TRUNC, 0), (MAX_TRUNC + 1, 2)):
+        cfg.write_text("trunc = %d\n" % trunc)
+        for argv in (["verify", "--n", "1", "--trunc", str(trunc)],
+                     ["verify", "--n", "1", "--config", str(cfg)],
+                     ["show", "f", "--n", "1", "--l", "1",
+                      "--trunc", str(trunc)]):
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            assert got == code, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.count("usage: ") == 1
+                assert "argument --trunc: must be at most %d" % MAX_TRUNC \
+                    in err
 
 
 def test_trunc_below_2n_runs_every_suite(capsys):

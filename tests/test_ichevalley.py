@@ -30,6 +30,7 @@ from oracles import (
     ic2_data,
     ic_lhs,
     tensor,
+    weighted_class,
 )
 
 
@@ -146,6 +147,7 @@ def test_rank_one_by_hand():
     expect = expect - SemiClassSum.basis(s1, (1,), (1,), qexp=1)
     assert got == expect
     assert got == ic2_closed(n, 1)
+    assert (got - expect).render() == "0"
 
 
 def test_evaluator_matches_closed_form_small_ranks():
@@ -196,9 +198,8 @@ def test_derive_rec_1():
         lhs, rhs = ic1_data(n, k)
         target, expr = derive_recurrence(lhs, rhs, eps(n, k + 1, -1),
                                          (staircase(n, k + 1), (0,) * n, (0,) * n))
-        expect = SemiClassSum.basis(
-            staircase(n, k), lam=eps(n, k + 1, -1),
-            coeff=QExtElement.monomial(n, eps(n, 1), coeff=-1))
+        expect = weighted_class(staircase(n, k), eps(n, 1),
+                                eps(n, k + 1, -1), -1)
         expect = expect + SemiClassSum.basis(staircase(n, k))
         for j in range(1, k + 1):
             xi = alpha_range(n, j, k)
@@ -214,9 +215,7 @@ def test_derive_rec_2():
         lhs, rhs = ic2_data(n, k)
         target, expr = derive_recurrence(lhs, rhs, eps(n, k),
                                          (mountain(n, k - 1), (0,) * n, (0,) * n))
-        expect = SemiClassSum.basis(
-            mountain(n, k), lam=eps(n, k),
-            coeff=QExtElement.monomial(n, eps(n, 1), coeff=-1))
+        expect = weighted_class(mountain(n, k), eps(n, 1), eps(n, k), -1)
         expect = expect + SemiClassSum.basis(mountain(n, k))
         for j in range(k + 1, n + 1):
             xi = alpha_range(n, k, j - 1)

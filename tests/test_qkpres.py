@@ -23,7 +23,7 @@ from qkc.rings import (
     specialize_Q_zero,
 )
 from qkc.semimod import SemiModElement, adjacent_in, ff, phi, universe
-from qkc.weylc import _eps
+from qkc.weylc import SignedPerm, _eps
 
 from test_semimod import check_case_table
 
@@ -179,7 +179,7 @@ def test_schubert_poly():
     n = 2
     e1_inv = GroupRingElement.monomial(n, (-1, 0), -1)
     expect = (f_poly(n, 0, "upper", 1)
-              + f_poly(n, 1, "upper", 1) * e1_inv)
+              + f_poly(n, 1, "upper", 1).scale(e1_inv))
     assert schubert_poly(n, 1) == expect
     assert schubert_poly(n, n, "barred") == schubert_poly(n, n, "upper")
     with pytest.raises(ConfigError):
@@ -190,9 +190,10 @@ def test_to_semimod_basics():
     n = 2
     one = ZLaurentElement.constant(n, NovikovFraction.one(n))
     assert to_semimod(one) == SemiModElement.one(n)
+    # z_1 drags (1 - T_0)/(1 - T_1) along, with T_0 = 0
     z1 = ZLaurentElement(n, [((1, 0), NovikovFraction.one(n))])
-    z1_inv = ZLaurentElement(n, [((-1, 0), NovikovFraction.one(n))])
-    assert to_semimod(z1 * z1_inv) == SemiModElement.one(n)
+    assert to_semimod(z1) == SemiModElement(n, [(
+        (SignedPerm.identity(n), (-1, 0)), NovikovFraction.geometric(n, 1))])
 
 
 def test_to_semimod_matches_module_elements():

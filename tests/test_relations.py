@@ -170,8 +170,11 @@ def test_e_row_matches_brute_force():
 def test_elementary_E_matches_brute_force():
     for n in range(1, 5):
         hv = _hyperbolic(n, range(1, n + 1))
-        for l in range(2 * n + 2):
+        for l in range(2 * n + 1):
             assert elementary_E(n, l) == e_brute(n, hv, l), (n, l)
+        for l in (-1, 2 * n + 1):
+            with pytest.raises(ConfigError):
+                elementary_E(n, l)
 
 
 def test_csym_nested_equals_h_difference():

@@ -232,6 +232,24 @@ def test_jab_sets_matches_the_filter_over_all_subsets():
                         n, A, B, k), (n, A, B, k)
 
 
+def test_duality_groups_are_nonempty_and_split_as_A_B():
+    # check_duality reads every group without testing for an empty one,
+    # and duality_hypothesis reads only the pairs of I
+    for n in range(1, 5):
+        halves = [frozenset(c) for size in range(n + 1)
+                  for c in itertools.combinations(range(1, n + 1), size)]
+        for A in halves:
+            for B in halves:
+                if A & B:
+                    continue
+                for k in range(len(A) + len(B), n + 1, 2):
+                    group = jab_sets(n, A, B, k)
+                    assert group, (n, A, B, k)
+                    for I in group:
+                        a, b, _ = decompose_I(n, I)
+                        assert (a, b) == (sorted(A), sorted(B)), (n, I)
+
+
 def test_duality_lemma_termwise():
     n = 3
     A, B = {1}, set()
