@@ -7,7 +7,9 @@ polynomials, and the translation map into the semi-infinite module.
 
 zeta and eta read the index set I only through `semimod._case`, and
 their values, like the factors `_z_factor` of the translation map, are
-built once per small-int key and shared.  `f_poly` asks `zeta` for every
+built once per small-int key and shared.  A z-factor is an exact
+fraction in both modes: a truncated coefficient times it divides by
+each (1 - T_j) in the truncated ring.  `f_poly` asks `zeta` for every
 factor and multiplies them through `rings.product`, once per sequence of
 factor objects; it keeps no table keyed by I, so a coefficient function
 changed after a run is still read at the next one.  The factorization
@@ -131,24 +133,15 @@ def schubert_poly(n, k, variant="upper", trunc=None):
         for l in range(top + 1)))
 
 
-def _t_binomial(n, j):
-    """1 - T_j as an exact series (1 when j = 0)."""
-    if j == 0:
-        return NovikovSeries.one(n)
-    return NovikovSeries.one(n) - NovikovSeries.variable(n, j)
-
-
 @lru_cache(maxsize=None)
-def _z_factor(n, j, power, trunc):
+def _z_factor(n, j, power):
     """The module-side factor replacing z_j^{power}: each positive power
-    contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse;
-    an exact fraction, expanded once to degree trunc when trunc is given."""
-    if power > 0:
-        out = NovikovFraction(n, _t_binomial(n, j - 1), _eps(n, j))
-    else:
-        out = NovikovFraction(n, _t_binomial(n, j), _eps(n, j - 1))
-    out = out ** abs(power)
-    return out if trunc is None else out.truncate(trunc)
+    contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse.
+    An exact fraction: times a truncated coefficient it divides in that
+    coefficient's mode."""
+    up, down = (j - 1, j) if power > 0 else (j, j - 1)
+    a = abs(power)
+    return NovikovFraction.ratio(n, _eps(n, up, a), _eps(n, down, a))
 
 
 def to_semimod(p):
@@ -159,10 +152,8 @@ def to_semimod(p):
     e = SignedPerm.identity(n)
     pairs = []
     for exps, c in p.sorted_terms():
-        trunc = None if isinstance(c, NovikovFraction) else c.trunc
-        coeff = c
         for j, a in enumerate(exps, start=1):
             if a:
-                coeff = coeff * _z_factor(n, j, a, trunc)
-        pairs.append(((e, tuple(-a for a in exps)), coeff))
+                c = c * _z_factor(n, j, a)
+        pairs.append(((e, tuple(-a for a in exps)), c))
     return SemiModElement(n, pairs)

@@ -49,6 +49,9 @@ NovikovSeries numerator together with multiplicities of (1 - x_j) factors
 in the denominator, compared by cross-multiplication.  Fractions are never
 reduced to lowest terms: the checks only compare them, which needs no
 polynomial gcd, so a fraction prints its numerator as it was computed.
+A fraction times a truncated series is a truncated series: the series
+times the numerator, with each factor (1 - x_j) divided out as a running
+sum along x_j up to the cut, so no denominator is ever expanded.
 
 KeyedSum is a finite sum over hashable basis keys with Poly or
 NovikovFraction coefficients, built from (key, coefficient) pairs in one
@@ -58,9 +61,9 @@ printed form; a sum is multiplied only by a ring element, with `scale`.
 
 Values are immutable and may be shared between callers: every operation
 returns a new value, and no code mutates a term map (or a fraction's
-numerator and denominator) in place.  The units, `geometric_inverse`
-and the fraction denominators are therefore built once per argument
-tuple and handed out to every caller.
+numerator and denominator) in place.  The units and the fraction
+denominators are therefore built once per argument tuple and handed out
+to every caller.
 """
 
 from __future__ import annotations
@@ -454,20 +457,33 @@ class NovikovSeries(Poly):
             coeff = QExtElement.one(n) * coeff
         if not isinstance(coeff, Poly) or coeff._level > 1 or coeff.n != n:
             raise ConfigError("cannot use %r as a coefficient" % (coeff,))
-        deg = sum(exps)
-        reach = max(coeff._reach, deg)
-        if reach > MAX_EXPONENT:
-            raise ConfigError("exponent out of range: %d" % reach)
-        head = _encode((deg,) + exps) * _BASE ** (n + 1)
-        packed = {head + k: v for k, v in coeff._packed.items()}
-        return cls._make(n, None, packed, reach).with_trunc(trunc)
+        head = (sum(exps),) + exps + (0,) * (1 - coeff._level)
+        return cls(n, trunc, {head + k: v for k, v in coeff.terms.items()})
 
     def with_trunc(self, trunc):
-        """Re-truncate (or lift an exact polynomial) to the given degree."""
+        """Re-truncate (or lift an exact polynomial) to the given degree.
+        A cut that drops terms rebuilds the value from the terms kept, so
+        the exponent bound is theirs."""
         cut = _cut(self.n, trunc)
-        packed = self._packed if cut is None else {
-            k: v for k, v in self._packed.items() if k < cut}
-        return NovikovSeries._make(self.n, trunc, packed, self._reach)
+        if cut is not None and max(self._packed, default=0) >= cut:
+            return NovikovSeries(self.n, trunc, self.terms)
+        return NovikovSeries._make(self.n, trunc, self._packed, self._reach)
+
+    def _div_one_minus(self, j):
+        """self / (1 - x_j) for a truncated self: the running sum
+        out[k] = self[k] + out[k - x_j], one degree layer at a time up to
+        the cut.  Every series slot and deg stay <= trunc, so
+        max(bound, trunc) bounds the result."""
+        top = _BASE ** (2 * self.n + 1)
+        half, step = top // 2, top + _BASE ** (2 * self.n + 1 - j)
+        layers = [{} for _ in range(self.trunc + 1)]
+        for k, v in self._packed.items():
+            layers[(k + half) // top][k] = v
+        for below, layer in zip(layers, layers[1:]):
+            for k, v in below.items():
+                layer[k + step] = layer.get(k + step, 0) + v
+        return self._like({k: v for layer in layers for k, v in layer.items()
+                           if v}, max(self._reach, self.trunc))
 
     def render(self, var="Q"):
         n = self.n
@@ -503,6 +519,11 @@ class NovikovFraction:
         den = tuple(1 if i == j - 1 else 0 for i in range(n))
         return cls(n, NovikovSeries.one(n), den)
 
+    @classmethod
+    def ratio(cls, n, up, down):
+        """prod_j (1 - x_j)^{up[j]} / prod_j (1 - x_j)^{down[j]}."""
+        return cls(n, _den_poly(n, up), down)
+
     def is_zero(self):
         return self.num.is_zero()
 
@@ -533,6 +554,12 @@ class NovikovFraction:
         return NovikovFraction(self.n, -self.num, self.den)
 
     def __mul__(self, other):
+        if isinstance(other, Poly) and other.trunc is not None:
+            out = other * self.num.with_trunc(other.trunc)
+            for j, c in enumerate(self.den, start=1):
+                for _ in range(c):
+                    out = out._div_one_minus(j)
+            return out
         if isinstance(other, (int, Poly)):
             return NovikovFraction(self.n, self.num * other, self.den)
         if not isinstance(other, NovikovFraction):
@@ -544,12 +571,6 @@ class NovikovFraction:
             tuple(a + b for a, b in zip(self.den, other.den)))
 
     __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if m < 0:
-            raise ConfigError("negative power of a fraction")
-        return NovikovFraction(self.n, self.num ** m,
-                               tuple(d * m for d in self.den))
 
     def __eq__(self, other):
         # A truncated series is a value of the other mode, never equal to
@@ -566,12 +587,8 @@ class NovikovFraction:
     __hash__ = None
 
     def truncate(self, trunc):
-        """Expand into a truncated NovikovSeries."""
-        out = self.num.with_trunc(trunc)
-        for j, c in enumerate(self.den, start=1):
-            if c:
-                out = out * geometric_inverse(self.n, j, trunc) ** c
-        return out
+        """Expand into a NovikovSeries truncated at trunc."""
+        return self * NovikovSeries.one(self.n, trunc)
 
     def render(self, var="Q"):
         den = "*".join(
@@ -711,18 +728,6 @@ class ZLaurentElement(KeyedSum):
     def render(self):
         return _render_products((_monomial_text("z", exps), coeff.render())
                                 for exps, coeff in self.sorted_terms())
-
-
-@lru_cache(maxsize=None)
-def geometric_inverse(n, j, trunc):
-    """The truncated inverse of (1 - x_j): sum of x_j^k for k <= trunc."""
-    if not 1 <= j <= n:
-        raise ConfigError("variable index out of range")
-    tail = (0,) * (n + 1)
-    terms = {}
-    for k in range(trunc + 1):
-        terms[(k,) + tuple(k if i == j - 1 else 0 for i in range(n)) + tail] = 1
-    return NovikovSeries(n, trunc, terms)
 
 
 def exact_div(a, d):

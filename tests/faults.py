@@ -8,7 +8,7 @@ module.
 """
 
 from qkc import ichevalley, relations
-from qkc.rings import GroupRingElement, QExtElement
+from qkc.rings import GroupRingElement, NovikovSeries, QExtElement
 from qkc.weylc import _eps, pairing
 
 
@@ -78,3 +78,17 @@ def chain_walked_twice(patch):
                 yield node
 
     patch(ichevalley, "_chain_blocks", chain_blocks)
+
+
+def division_short_of_the_cut(patch):
+    """NovikovSeries._div_one_minus with its running sum stopped one
+    degree short of the cut: the terms at the cut keep their own value
+    and get nothing carried up from the degree below."""
+    original = NovikovSeries._div_one_minus
+
+    def div_one_minus(self, j):
+        below = self.with_trunc(self.trunc - 1)
+        top = self - below.with_trunc(self.trunc)
+        return original(below, j).with_trunc(self.trunc) + top
+
+    patch(NovikovSeries, "_div_one_minus", div_one_minus)

@@ -236,7 +236,7 @@ def test_a_late_psi_fault_shows_in_semimod_and_qkpres(monkeypatch, mode):
 # Every table of built-once values, as the modules that call it look it up.
 SHARED_TABLES = [
     (rings, "_series_one"), (rings, "_fraction_one"), (rings, "_den_poly"),
-    (rings, "geometric_inverse"), (semimod, "_t_mono"), (qkpres, "_t_mono"),
+    (semimod, "_t_mono"), (qkpres, "_t_mono"),
     (semimod, "_psi"), (semimod, "_theta_sinf"), (semimod, "_phi"),
     (qkpres, "_zeta"), (qkpres, "_eta"), (qkpres, "_z_factor"),
     (semimod, "product"), (qkpres, "product"), (relations, "_elementary_row"),
@@ -368,6 +368,32 @@ def test_a_chain_walked_twice_fails_the_cancellation_check(monkeypatch,
     for k in (1, 2, 3):
         assert failing["cancellation-accounting-k%d" % k].startswith(
             "cancellation pairing failed at j=")
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_a_division_short_of_the_cut_fails_the_dictionary(monkeypatch,
+                                                          capsys, n):
+    # truncated to_semimod divides the F_l coefficients by (1 - T_j);
+    # the factor sweeps check each factor at degree 2n+2 in both modes.
+    # The fault lies under the tables of built-once values, so they are
+    # emptied before the runs, and after them of the broken values.
+    def clear_tables():
+        for module, name in SHARED_TABLES:
+            getattr(module, name).cache_clear()
+
+    clear_tables()
+    faults.division_short_of_the_cut(monkeypatch.setattr)
+    try:
+        sweeps = {"zeta-eta-equals-phi", "phi-theta-equals-psi"}
+        code, failing = _failing_checks(capsys, "--n", n, "--suite", "qkpres")
+        assert code == 1
+        assert set(failing) == sweeps | {"dictionary-f-to-module",
+                                         "dictionary-variants"}
+        code, failing = _failing_checks(capsys, "--n", n, "--suite",
+                                        "qkpres", "--mode", "exact")
+        assert code == 1 and set(failing) == sweeps
+    finally:
+        clear_tables()
 
 
 def test_non_unit_pivot_fails_the_solution(monkeypatch, capsys):

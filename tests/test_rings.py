@@ -11,7 +11,6 @@ from qkc.rings import (
     QExtElement,
     ZLaurentElement,
     exact_div,
-    geometric_inverse,
     specialize_Q_zero,
 )
 
@@ -45,10 +44,11 @@ def test_trunc_mismatch_is_config_error():
         NovikovSeries.one(1, trunc=2) + NovikovSeries.one(1, trunc=3)
 
 
-def test_geometric_inverse_example():
-    g = geometric_inverse(1, 1, 3)
+def test_division_by_one_minus_x_example():
+    g = NovikovSeries.one(1, 3) * NovikovFraction.geometric(1, 1)
     q1 = NovikovSeries.variable(1, 1, trunc=3)
     expect = NovikovSeries.one(1, 3) + q1 + q1 ** 2 + q1 ** 3
+    assert type(g) is NovikovSeries and g.trunc == 3
     assert g == expect
     assert (NovikovSeries.one(1, 3) - q1) * g == NovikovSeries.one(1, 3)
 
@@ -57,10 +57,22 @@ def test_phi_style_factor_expansion():
     # 1 + Q_1 Q_2 / (1 - Q_1) at n=2, D=3
     d = 3
     f = NovikovSeries.one(2, d) + (
-        NovikovSeries.monomial(2, (1, 1), trunc=d) * geometric_inverse(2, 1, d))
+        NovikovSeries.monomial(2, (1, 1), trunc=d)
+        * NovikovFraction.geometric(2, 1))
     q1 = NovikovSeries.variable(2, 1, trunc=d)
     q2 = NovikovSeries.variable(2, 2, trunc=d)
     assert f == NovikovSeries.one(2, d) + q1 * q2 + q1 * q1 * q2
+
+
+def test_a_term_dropped_by_the_cut_leaves_no_exponent_bound():
+    x = NovikovSeries.variable(1, 1, trunc=2)
+    by_monomial = NovikovSeries.monomial(1, (MAX_EXPONENT,), trunc=2)
+    by_constructor = NovikovSeries(1, 2, {(MAX_EXPONENT,) * 2 + (0, 0): 1})
+    cut = NovikovSeries.monomial(1, (MAX_EXPONENT,)).with_trunc(2)
+    for zero in (by_monomial, by_constructor, cut):
+        assert zero.is_zero() and zero == by_constructor
+        assert (zero * x).is_zero() and (x * zero).is_zero()
+        assert (zero * NovikovFraction.geometric(1, 1)).is_zero()
 
 
 def test_exact_div_factorization():
@@ -112,8 +124,10 @@ def test_fraction_arithmetic_and_equality():
     # 1/(1-Q1) - Q1/(1-Q1) = 1
     num_q = NovikovFraction(n, q1, (1, 0))
     assert half1 - num_q == one
-    # truncation matches geometric_inverse
-    assert half1.truncate(5) == geometric_inverse(n, 1, 5)
+    # truncation divides 1 by (1 - Q1): the geometric series
+    q1_5 = NovikovSeries.variable(n, 1, 5)
+    assert half1.truncate(5) == sum(
+        (q1_5 ** k for k in range(6)), NovikovSeries.zero(n, 5))
     # cross-multiplied equality with differing denominators
     lhs = NovikovFraction(n, NovikovSeries.one(n) - q1, (1, 0))
     assert lhs == one
@@ -157,13 +171,16 @@ def test_exact_div_roundtrip(a, m1, m2, n1, n2):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 16))
-def test_geometric_inverse_two_sided(j, d):
+def test_division_by_one_minus_x_is_two_sided(j, d):
     n = 3
-    g = geometric_inverse(n, j, d)
+    geometric = NovikovFraction.geometric(n, j)
     one = NovikovSeries.one(n, d)
     factor = one - NovikovSeries.variable(n, j, d)
+    g = geometric.truncate(d)
     assert factor * g == one
     assert g * factor == one
+    assert factor * geometric == one
+    assert geometric * factor == one
 
 
 nov = st.builds(
@@ -416,6 +433,34 @@ def test_values_at_the_slot_bounds_match_sympy_or_raise(data):
         for got in (a * b, b * a):
             assert type(got) is wide
             assert got.terms == oracle_terms(A * B, wide, trunc), (a, b)
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fraction_times_truncated_series_matches_sympy(data):
+    # the series times the numerator, with each (1 - x_j)^c divided out,
+    # against sympy's expansion cut at total degree trunc
+    trunc = data.draw(st.sampled_from((0, 1, 2, 4)))
+    s = data.draw(st.one_of(elements(NovikovSeries, trunc),
+                            edge_elements(NovikovSeries, trunc)))
+    num = data.draw(elements(NovikovSeries))
+    if bound(s) + bound(num) > M:  # the product would raise
+        num = NovikovSeries.one(N)
+    den = tuple(data.draw(st.integers(0, 3)) for _ in range(N))
+    f = NovikovFraction(N, num, den)
+    before = s.terms
+    expansion = sympy.Mul(*[
+        sympy.series((1 - x) ** -c, x, 0, trunc + 1).removeO()
+        for x, c in zip(X, den)])
+    expect = oracle_terms(to_expr(s) * to_expr(num) * expansion,
+                          NovikovSeries, trunc)
+    for got in (s * f, f * s):
+        assert type(got) is NovikovSeries and got.trunc == trunc
+        assert got.terms == expect, (s, f)
+    assert f.truncate(trunc).terms == oracle_terms(
+        to_expr(num) * expansion, NovikovSeries, trunc)
+    assert s.terms == before
 
 
 def test_cut_keeps_degree_trunc_with_the_most_negative_lower_slots():
