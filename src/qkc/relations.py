@@ -18,6 +18,8 @@ system are compared with an E built by another route.
 The printed relations (`secondary_literal`, `system_arbitrary`) and the
 csym-3/csym-4 lemma share one transcription of the nested sum,
 `csym_nested_lhs`; a printed coefficient is the sum times (-1)^l e^shift.
+It walks the outer sums on exponent vectors and multiplies out only the
+two-variable leaves, once each, with no shift-add.
 
 `check_system` checks the chain, the rows and the solution as records: a
 failed exact division or a non-unit pivot fails a record, and ConfigError
@@ -66,10 +68,7 @@ def audit_base_rewrite(n):
     fold X_{2n-l} onto X_l (the index symmetry of the FF elements)."""
     scaled = [
         _mono(n, _eps(n, 1, l - n), (-1) ** l) for l in range(2 * n + 1)]
-    folded = []
-    for l in range(n):
-        folded.append(scaled[l] + scaled[2 * n - l])
-    folded.append(scaled[n])
+    folded = [scaled[l] + scaled[2 * n - l] for l in range(n)] + [scaled[n]]
     return tuple(folded) == base_relation(n)
 
 
@@ -175,39 +174,40 @@ def elementary_E(n, l):
 
 def csym_nested_lhs(variables, m):
     """The literal nested-sum side of the complete-symmetric identity in
-    nv >= 2 variables x_1..x_nv; equals h_m - h_{m-2} over the hyperbolic
-    list.  For nv = 2 it is
-    x_1^{-m} (sum_{c<=m} (x_1/x_2)^c) (sum_{c<=m} (x_1 x_2)^c)."""
+    nv >= 2 monomials x_t = e^{u_t}; equals h_m - h_{m-2} over the
+    hyperbolic list.  The walk keeps each path's product of steps x_t^e as
+    an exponent vector acc; a path ending at index r adds e^acc times the
+    leaf x^{1-r} (sum_{c<r} (x/y)^c) (sum_{c<r} (xy)^c) in the last two
+    variables, multiplied out once per r and call (nv = 2: r = m + 1)."""
     nv = len(variables)
     if nv < 2:
         raise ConfigError("need at least 2 variables")
     n = variables[0].n
-
-    def power(x, e):
-        if e >= 0:
-            return x ** e
-        (exps, c), = x.terms.items()
-        return GroupRingElement.monomial(n, tuple(-a for a in exps), c) ** -e
-
+    us = [next(iter(v.terms)) for v in variables]
     total = GroupRingElement.zero(n)
-    x, y = variables[nv - 2], variables[nv - 1]
+
+    def ray(r, s, sign):
+        """sum_{c<r} x^{s+c} y^{sign c}, from its exponent dict."""
+        terms = {}
+        for c in range(r):
+            key = tuple((s + c) * a + sign * c * b for a, b in zip(*us[-2:]))
+            terms[key] = terms.get(key, 0) + 1
+        return GroupRingElement(n, terms)
+
+    @lru_cache(maxsize=None)
+    def leaf(r):
+        return ray(r, 1 - r, -1) * ray(r, 0, 1)
 
     def walk(t, r_prev, acc):
         nonlocal total
         if t == nv - 1:
-            down = up = GroupRingElement.zero(n)
-            for c in range(r_prev):
-                xc = power(x, c)
-                down = down + xc * power(y, -c)
-                up = up + xc * power(y, c)
-            total = total + acc * power(x, 1 - r_prev) * down * up
+            total = total + _mono(n, acc) * leaf(r_prev)
             return
         for r in range(nv - 1 - t, r_prev):
-            for s in range(r_prev - r):
-                step = power(variables[t - 1], -r_prev + r + 2 * s + 1)
-                walk(t + 1, r, acc * step)
+            for e in range(r + 1 - r_prev, r_prev - r, 2):
+                walk(t + 1, r, tuple(a + e * b for a, b in zip(acc, us[t - 1])))
 
-    walk(1, m + nv - 1, GroupRingElement.one(n))
+    walk(1, m + nv - 1, (0,) * n)
     return total
 
 

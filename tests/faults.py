@@ -92,3 +92,23 @@ def division_short_of_the_cut(patch):
         return original(below, j).with_trunc(self.trunc) + top
 
     patch(NovikovSeries, "_div_one_minus", div_one_minus)
+
+
+def stale_leaf(patch):
+    """relations.lru_cache, which makes the leaf table of each
+    csym_nested_lhs call, with the table handing out the first leaf it
+    built for every r."""
+    original = relations.lru_cache
+
+    def lru_cache(maxsize):
+        def stale_table(build):
+            built = []
+
+            def leaf(r):
+                if not built:
+                    built.append(build(r))
+                return built[0]
+            return original(maxsize)(leaf)
+        return stale_table
+
+    patch(relations, "lru_cache", lru_cache)

@@ -307,14 +307,17 @@ def test_broken_elementary_E_fails_gf2_and_the_solution(monkeypatch, capsys):
 
 def test_a_sign_flip_in_the_shift_add_fails_the_e_checks(monkeypatch, capsys):
     # a - x*b in place of a + x*b: the factor products and the h rows
-    # change, but E is built in closed form, so the checks against it fail
+    # change, but E is built in closed form, so the checks against it fail;
+    # the nested sum takes no shift-add, so the csym lemmas that compare it
+    # with an h row fail too (the csym-4-n4 records need n = 4)
     original = Poly.add_shifted
     monkeypatch.setattr(Poly, "add_shifted",
                         lambda self, x, b: original(self, -x, b))
-    code, failing = _failing_relations_checks(capsys)
+    code, failing = _failing_checks(capsys, "--n", "4", "--suite", "relations")
     assert code == 1
     assert {"gf-2", "gf-3-k0", "gf-3-k1", "solution-is-elementary",
-            "rows-annihilate-elementary"} <= set(failing)
+            "rows-annihilate-elementary", "csym-3-m1",
+            "csym-4-n4-m5"} <= set(failing)
 
 
 def test_broken_demazure_case_fails_the_derivation(monkeypatch, capsys):
@@ -342,6 +345,19 @@ def test_dropped_nested_sum_term_fails_every_reader(monkeypatch, capsys):
             "system-rows-audit", "csym-3-m1"} <= set(failing)
     assert any(cid.startswith("csym-4-") for cid in failing)
     assert not any(cid.startswith("gf-") for cid in failing)
+
+
+def test_a_stale_leaf_fails_the_nested_sums_of_three_variables_or_more(
+        monkeypatch, capsys):
+    faults.stale_leaf(monkeypatch.setattr)
+    code, failing = _failing_checks(capsys, "--n", "4", "--suite", "relations")
+    assert code == 1
+    # a call in two variables builds one leaf, so secondary-derivation and
+    # csym-3 still pass; the gf checks read no nested sum
+    assert set(failing) == {
+        "chain-vs-nested-sum-k2", "chain-vs-nested-sum-k3",
+        "system-rows-audit"} | {
+        "csym-4-n%d-m%d" % (nv, m) for nv in (3, 4) for m in range(1, 7)}
 
 
 def test_uncancelled_pair_fails_the_cancellation_check(monkeypatch, capsys):
