@@ -185,9 +185,9 @@ def build_parser():
 
 def _cmd_verify(args):
     n, mode, suite = args.n, args.mode, args.suites
-    suites = "all" if suite == "all" else [s.strip() for s in suite.split(",")]
-
-    reports = verify.run_suites(suites, n, mode, args.trunc)
+    names = (verify.SUITES if suite == "all"
+             else [s.strip() for s in suite.split(",")])
+    reports = [verify.run_suite(name, n, mode, args.trunc) for name in names]
     ok = all(r.ok for r in reports)
     if args.json:
         command = "verify --n %d --mode %s --suite %s" % (n, mode, suite)

@@ -136,8 +136,6 @@ def _staircase_block(n, k, top):
 
 def ic2_closed(n, k):
     """The staircase/mountain closed form of inverse_chevalley(mountain(k), k)."""
-    if not 1 <= k <= n:
-        raise ConfigError("k out of range")
     total = SemiClassSum.basis(mountain(n, k), lam=_eps(n, k, -1))
     if k > 1:
         total = total - SemiClassSum.basis(mountain(n, k - 1), lam=_eps(n, k, -1))

@@ -72,14 +72,12 @@ def export(edges, fmt):
                 source.render(), target.render(), root.render(), kind))
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        vertices = sorted({e[0].render() for e in edges}
-                          | {e[2].render() for e in edges})
-        payload = {
-            "vertices": vertices,
-            "edges": [{"src": source.render(), "root": root.render(),
-                       "dst": target.render(), "kind": kind}
-                      for source, root, target, kind in edges],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ConfigError("unknown export format %r" % fmt)
+    vertices = sorted({e[0].render() for e in edges}
+                      | {e[2].render() for e in edges})
+    payload = {
+        "vertices": vertices,
+        "edges": [{"src": source.render(), "root": root.render(),
+                   "dst": target.render(), "kind": kind}
+                  for source, root, target, kind in edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -121,12 +121,7 @@ def schubert_poly(n, k, variant="upper", trunc=None):
     of e^{-l eps_1} F_l over the upper (or barred) variant."""
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    if variant == "upper":
-        top = k
-    elif variant == "barred":
-        top = 2 * n - k
-    else:
-        raise ConfigError("unknown variant %r" % variant)
+    top = k if variant == "upper" else 2 * n - k
     return ZLaurentElement.sum_of(n, (
         f_poly(n, l, variant, k, trunc).scale(
             GroupRingElement.monomial(n, _eps(n, 1, -l), (-1) ** l))

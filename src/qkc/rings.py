@@ -389,10 +389,7 @@ class GroupRingElement(Poly):
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != n:
-            raise ConfigError("exponent vector has wrong rank")
-        return cls(n, {exps: coeff})
+        return cls(n, {tuple(exps): coeff})
 
     def render(self):
         return _render_terms([(0, k, v) for k, v in self.sorted_terms()])
@@ -449,8 +446,6 @@ class NovikovSeries(Poly):
     def monomial(cls, n, exps, coeff=1, trunc=None):
         """x^exps times an int, GroupRingElement or QExtElement coeff."""
         exps = tuple(exps)
-        if len(exps) != n:
-            raise ConfigError("exponent vector has wrong rank")
         if any(a < 0 for a in exps):
             raise ConfigError("series exponents must be non-negative")
         if isinstance(coeff, int):

@@ -195,18 +195,14 @@ def _variant_pool(n, variant, k):
     (I in [1, k+1 bar], with n+1 bar meaning n) variant."""
     if variant == "full":
         return universe(n)
+    if k is None or not 0 <= k <= n:
+        raise ConfigError("k out of range")
     if variant == "upper":
-        if k is None or not 0 <= k <= n:
-            raise ConfigError("k out of range")
         return list(range(1, k + 1))
-    if variant == "barred":
-        if k is None or not 0 <= k <= n:
-            raise ConfigError("k out of range")
-        if k == n:
-            return list(range(1, n + 1))
-        bound = order_key(n, -(k + 1))
-        return [x for x in universe(n) if order_key(n, x) <= bound]
-    raise ConfigError("unknown variant %r" % variant)
+    if k == n:
+        return list(range(1, n + 1))
+    bound = order_key(n, -(k + 1))
+    return [x for x in universe(n) if order_key(n, x) <= bound]
 
 
 def ff(n, l, variant="full", k=None, trunc=None):
@@ -325,11 +321,8 @@ def _jab_table(n):
 
 
 def jab_sets(n, A, B, k):
-    """All I of size k with eps_I = eps_A - eps_B."""
-    A, B = frozenset(A), frozenset(B)
-    if A & B:
-        raise ConfigError("A and B must be disjoint")
-    target = _eps_I(n, A | {-b for b in B})
+    """All I of size k with eps_I = eps_A - eps_B, for disjoint A and B."""
+    target = _eps_I(n, set(A) | {-b for b in B})
     return list(_jab_table(n).get((k, target), ()))
 
 

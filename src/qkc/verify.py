@@ -19,7 +19,7 @@ import itertools
 import time
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
-from .rings import ConfigError, identity_memo, specialize_Q_zero
+from .rings import identity_memo, specialize_Q_zero
 from .weylc import _alpha_range, enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
@@ -222,14 +222,8 @@ _RUNNERS = {
 
 
 def run_suite(suite, n, mode="truncated", trunc=None):
-    if suite not in _RUNNERS:
-        raise ConfigError("unknown suite %r" % suite)
-    if mode not in ("truncated", "exact"):
-        raise ConfigError("unknown mode %r" % mode)
-    if mode == "exact":
-        trunc = None
-    elif trunc is None:
-        trunc = 2 * n + 2
+    trunc = {"truncated": 2 * n + 2 if trunc is None else trunc,
+             "exact": None}[mode]
     checks = []
     begin = start = time.monotonic()
     for cid, ok, location in _RUNNERS[suite](n, trunc):
@@ -238,8 +232,3 @@ def run_suite(suite, n, mode="truncated", trunc=None):
         start = now
     return VerificationReport(suite, n, trunc, mode, checks,
                               time.monotonic() - begin)
-
-
-def run_suites(suites, n, mode="truncated", trunc=None):
-    names = SUITES if suites in (None, "all") else tuple(suites)
-    return [run_suite(name, n, mode, trunc) for name in names]

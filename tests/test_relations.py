@@ -20,7 +20,7 @@ from qkc.relations import (
     system_arbitrary,
     system_row,
 )
-from qkc.rings import ConfigError, GroupRingElement, Poly
+from qkc.rings import GroupRingElement, Poly
 from qkc.weylc import _eps
 
 from oracles import e_brute, h_brute
@@ -172,9 +172,6 @@ def test_elementary_E_matches_brute_force():
         hv = _hyperbolic(n, range(1, n + 1))
         for l in range(2 * n + 1):
             assert elementary_E(n, l) == e_brute(n, hv, l), (n, l)
-        for l in (-1, 2 * n + 1):
-            with pytest.raises(ConfigError):
-                elementary_E(n, l)
 
 
 def test_csym_nested_equals_h_difference():
@@ -196,8 +193,6 @@ def test_nested_sum_covers_two_to_five_variables():
             relations._h_row(relations._hyperbolic_vars(nv, nv), 6))
         for m in range(7):
             assert csym_nested_lhs(variables, m) == hd[m], (nv, m)
-    with pytest.raises(ConfigError):
-        csym_nested_lhs([mono(1, (1,))], 2)
 
 
 def test_nested_sum_matches_the_brute_force_h_difference():

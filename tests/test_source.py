@@ -89,14 +89,32 @@ COMMANDS = [
 ]
 CONFIG = "# rank and mode\n\nn = 3\nmode = exact\n"
 
+# Each check of a value from outside, at the first place it is read:
+# argparse types and the config reader first, then the ranges that depend
+# on the command or on another flag, in the library function that first
+# reads them.
 USAGE = [
     ["ic", "--w", "[a]", "--m", "1"],
+    ["ic", "--w", "[1,1]", "--m", "1"],
     ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma:x"],
     ["verify", "--config", "{bad_config}"],
     ["verify", "--config", "{missing_config}"],
+    ["verify", "--config", "{typo_config}"],
     ["verify", "--n", "1", "--trunc", str(MAX_TRUNC + 1)],
+    ["verify", "--n", "x"],
+    ["verify", "--n", "0"],
+    ["verify", "--suite", "bogus"],
+    ["show", "ff", "--n", "2", "--l", "1", "--variant", "x"],
+    ["verify", "--n", "7", "--suite", "qbg"],
+    ["qbg", "export", "--n", "5"],
+    ["ic", "--w", "[-2,1]", "--m", "3"],
+    ["alcove", "list", "--w", "[2,-1]", "--seq", "theta:3"],
+    ["alcove", "list", "--w", "[2,-1]", "--seq", "gamma:3"],
+    ["show", "ff", "--n", "2", "--l", "1", "--variant", "3"],
+    ["show", "schubert", "--n", "2", "--variant", "3"],
 ]
 BAD_CONFIG = "n 3\n"
+TYPO_CONFIG = "mdoe = exact\n"
 
 # (fault in tests/faults.py, command)
 FAULTS = [
@@ -144,8 +162,9 @@ UNREACHED = {
 
 # Runs every (argv, fault) in a fresh interpreter, whose caches are empty,
 # with a line tracer set before the package is imported, then each named
-# test on its own, and prints each exit code, every (file, line) of
-# package code that the runs ran, and those that each test ran.
+# test on its own, and prints each exit code and stderr text, every
+# (file, line) of package code that the runs ran, and those that each
+# test ran.
 CHILD = """
 import contextlib, importlib, io, json, os, sys
 package, runs, tests = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
@@ -168,17 +187,19 @@ def patch(owner, name, value):
     undo.append((owner, name, getattr(owner, name)))
     setattr(owner, name, value)
 
-codes = []
+codes, errors = [], []
 for argv, fault in runs:
     undo = []
     if fault:
         getattr(faults, fault)(patch)
+    err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(err):
         try:
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
+    errors.append(err.getvalue())
     for owner, name, value in reversed(undo):
         setattr(owner, name, value)
 sys.settrace(None)
@@ -186,7 +207,7 @@ sys.settrace(None)
 def found():
     return sorted((os.path.basename(f), l) for f, l in ran)
 
-report = {"codes": codes, "ran": found(), "tests": {}}
+report = {"codes": codes, "errors": errors, "ran": found(), "tests": {}}
 for test in tests:
     path, name = test.split("::")
     function = getattr(importlib.import_module(path[:-3]), name)
@@ -199,10 +220,15 @@ json.dump(report, sys.stdout)
 """
 
 
-def _exempt(node, scope):
-    """Safety and protocol code: a raise, `return NotImplemented`, a
-    __repr__ body and the __main__ guard."""
-    if isinstance(node, ast.Raise) or scope[-1:] == ["__repr__"]:
+def _exempt(path, node, scope):
+    """Safety and protocol code: a raise in the kernel, `rings.py`, whose
+    guards keep packed keys sound for every caller, tests included;
+    `return NotImplemented`, a __repr__ body and the __main__ guard.  A
+    raise anywhere else checks a value from outside, so a usage run
+    reaches it."""
+    if isinstance(node, ast.Raise):
+        return path.name == "rings.py"
+    if scope[-1:] == ["__repr__"]:
         return True
     if isinstance(node, ast.Return):
         return (isinstance(node.value, ast.Name)
@@ -231,7 +257,7 @@ def statements(path):
                     or (isinstance(node, ast.Expr)
                         and isinstance(node.value, ast.Constant)
                         and isinstance(node.value.value, str))
-                    or _exempt(node, scope)):
+                    or _exempt(path, node, scope)):
                 continue
             inner = [getattr(node, f, []) for f in
                      ("body", "orelse", "finalbody")]
@@ -250,7 +276,8 @@ def statements(path):
 
 
 def test_every_statement_runs(tmp_path):
-    files = {"config": CONFIG, "bad_config": BAD_CONFIG}
+    files = {"config": CONFIG, "bad_config": BAD_CONFIG,
+             "typo_config": TYPO_CONFIG}
     for name, content in files.items():
         (tmp_path / name).write_text(content)
     paths = {name: tmp_path / name
@@ -269,6 +296,10 @@ def test_every_statement_runs(tmp_path):
     report = json.loads(child.stdout)
     assert report["codes"] == ([0] * len(COMMANDS) + [2] * len(USAGE)
                                + [1] * len(FAULTS))
+    # a usage error is one line naming it, never a traceback
+    for (argv, _), code, err in zip(runs, report["codes"], report["errors"]):
+        if code == 2:
+            assert "error:" in err and "Traceback" not in err, (argv, err)
     ran = {tuple(key) for key in report["ran"]}
     unreached, allowed = [], set()
     for path in SOURCES:
