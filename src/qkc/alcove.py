@@ -8,14 +8,12 @@ tuple of positions it picks from it.
 
 from __future__ import annotations
 
-import functools
-
-from .rings import ConfigError
+from .rings import ConfigError, table
 from .qbg import edge_by_length
 from .weylc import RootC, coroot_sum
 
 
-@functools.lru_cache(maxsize=None)
+@table
 def theta_seq(n, k):
     """Theta_k = (-(1,k), ..., -(k-1,k)), as the tuple of roots (1,k), ...,
     (k-1,k)."""
@@ -24,7 +22,7 @@ def theta_seq(n, k):
     return tuple(RootC(n, i, k) for i in range(1, k))
 
 
-@functools.lru_cache(maxsize=None)
+@table
 def gamma_seq(n, k):
     """Gamma_k(k), of length 2n - k:
 

@@ -13,7 +13,7 @@ import sys
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod, verify
 from .rings import ConfigError
-from .weylc import SignedPerm
+from .weylc import SignedPerm, check_rank
 
 
 def _json_dumps(payload):
@@ -187,6 +187,8 @@ def _cmd_verify(args):
     n, mode, suite = args.n, args.mode, args.suites
     names = (verify.SUITES if suite == "all"
              else [s.strip() for s in suite.split(",")])
+    if "qbg" in names:
+        check_rank(n)  # before any suite runs
     reports = [verify.run_suite(name, n, mode, args.trunc) for name in names]
     ok = all(r.ok for r in reports)
     if args.json:

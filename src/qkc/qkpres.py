@@ -9,10 +9,8 @@ zeta and eta read the index set I only through `semimod._case`, and
 their values, like the factors `_z_factor` of the translation map, are
 built once per small-int key and shared.  A z-factor is an exact
 fraction in both modes: a truncated coefficient times it divides by
-each (1 - T_j) in the truncated ring.  `f_poly` asks `zeta` for every
-factor and multiplies them through `rings.product`, once per sequence of
-factor objects; it keeps no table keyed by I, so a coefficient function
-changed after a run is still read at the next one.  The factorization
+each (1 - T_j) in the truncated ring.  `f_poly` multiplies the zeta
+factors of each index set once per (n, I, trunc).  The factorization
 zeta * eta = semimod.phi is checked by the same sweep in `verify` as
 phi * theta = psi.
 """
@@ -20,7 +18,6 @@ phi * theta = psi.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .relations import elementary_E
 from .rings import (
@@ -29,7 +26,7 @@ from .rings import (
     NovikovFraction,
     NovikovSeries,
     ZLaurentElement,
-    product,
+    table,
 )
 from .semimod import (
     SemiModElement,
@@ -52,7 +49,7 @@ def zeta(n, I, j, trunc=None):
     return _zeta(n, j, _case(n, frozenset(I), j), trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _zeta(n, j, case, trunc):
     if trunc is not None:
         return _zeta(n, j, case, None).truncate(trunc)
@@ -78,7 +75,7 @@ def eta(n, I, j, trunc=None):
     return _eta(n, j, _case(n, frozenset(I), j), trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _eta(n, j, case, trunc):
     if trunc is not None:
         return _eta(n, j, case, None).truncate(trunc)
@@ -95,9 +92,16 @@ def f_poly(n, l, variant="full", k=None, trunc=None):
     """F_l (or its upper/barred variant): the zeta-weighted sum of
     z-monomials over index sets of size l."""
     return ZLaurentElement(n, (
-        (eps_I(n, I), product(_unit(n, trunc),
-                              *(zeta(n, I, j, trunc) for j in universe(n))))
+        (eps_I(n, I), _zeta_product(n, frozenset(I), trunc))
         for I in itertools.combinations(_variant_pool(n, variant, k), l)))
+
+
+@table
+def _zeta_product(n, I, trunc):
+    out = _unit(n, trunc)
+    for j in universe(n):
+        out = out * zeta(n, I, j, trunc)
+    return out
 
 
 def elementary_z(n, l, trunc=None):
@@ -128,7 +132,7 @@ def schubert_poly(n, k, variant="upper", trunc=None):
         for l in range(top + 1)))
 
 
-@lru_cache(maxsize=None)
+@table
 def _z_factor(n, j, power):
     """The module-side factor replacing z_j^{power}: each positive power
     contributes (1 - T_{j-1})/(1 - T_j), each negative power the inverse.

@@ -33,7 +33,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .rings import GroupRingElement, exact_div
+from .rings import GroupRingElement, exact_div, table
 from .weylc import _eps, demazure_D
 
 
@@ -152,7 +152,7 @@ def _hyperbolic_vars(n, k):
     return [_mono(n, _eps(n, j)) for j in signed]
 
 
-@lru_cache(maxsize=None)
+@table
 def _elementary_row(n):
     """(E_0, ..., E_2n), built once per rank."""
     return tuple(_e_row(n, range(1, n + 1), 2 * n))

@@ -64,6 +64,10 @@ returns a new value, and no code mutates a term map (or a fraction's
 numerator and denominator) in place.  The units and the fraction
 denominators are therefore built once per argument tuple and handed out
 to every caller.
+
+Every value kept between calls is kept in a `table`, built once per
+argument tuple.  `verify.run_suite` empties every table when it starts
+and again when it ends, so no value outlives the run that built it.
 """
 
 from __future__ import annotations
@@ -88,6 +92,21 @@ class ConfigError(ValueError):
 
 class DivisibilityError(ArithmeticError):
     """exact_div was asked for a quotient that does not exist."""
+
+
+TABLES = []
+
+
+def table(fn):
+    """fn with each value kept per argument tuple until `clear_tables`."""
+    memo = lru_cache(maxsize=None)(fn)
+    TABLES.append(memo)
+    return memo
+
+
+def clear_tables():
+    for memo in TABLES:
+        memo.cache_clear()
 
 
 def _slots(level, n):
@@ -123,7 +142,7 @@ def _decoder(slots):
     return decode
 
 
-@lru_cache(maxsize=None)
+@table
 def _cut(n, trunc):
     """The least series key of degree trunc + 1: a key has degree <= trunc
     iff it is below _cut, since the slots under deg add up to less than
@@ -596,48 +615,17 @@ class NovikovFraction:
         return "NovikovFraction(%r)" % self.render()
 
 
-def identity_memo(fn):
-    """fn with each value kept per tuple of argument objects, keyed by
-    their identity, not by equality: only the very objects of an earlier
-    call find its value, and no term map is hashed.  An entry holds its
-    arguments, so no id is reused while it is a key; values are immutable
-    (see above), so a kept value stays right.  A caller that hands out a
-    new object, as a function changed after the tables were filled may,
-    misses the table and is computed afresh."""
-    table = {}
-
-    def memo(*args):
-        key = tuple(map(id, args))
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = (args, fn(*args))
-        return entry[1]
-
-    memo.cache_clear = table.clear
-    return memo
-
-
-@identity_memo
-def product(*factors):
-    """factors[0] * factors[1] * ..., multiplied left to right once per
-    sequence of factor objects."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
-
-
-@lru_cache(maxsize=None)
+@table
 def _series_one(n, trunc):
     return NovikovSeries.monomial(n, (0,) * n, trunc=trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _fraction_one(n):
     return NovikovFraction(n, NovikovSeries.one(n))
 
 
-@lru_cache(maxsize=None)
+@table
 def _den_poly(n, counts):
     """prod_j (1 - x_j)^{counts[j]} as an exact series."""
     poly = NovikovSeries.one(n)

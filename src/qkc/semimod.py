@@ -13,22 +13,14 @@ psi, theta_sinf and phi (and qkpres.zeta and qkpres.eta) read the index
 set I only through `_case`, the two or three membership facts that
 decide their value at position j.  Each value is built once per
 (n, j, case, trunc) and shared, so a table holds at most 12n entries
-per truncation however many index sets are asked about.
-
-`psi_product` still asks `psi` for every factor, but multiplies them
-through `rings.product`: the product is built once per sequence of
-factor objects, which are those shared values, so index sets with the
-same factors share one product; likewise the one factor sweep in
-`verify` decides phi * theta = psi, and zeta * eta = phi, once per
-triple of factor objects.  A table keyed by I instead would hand out a
-stale product after `psi` changed.  `jab_sets` reads one table per rank,
-the index sets grouped by size and eps_I.
+per truncation however many index sets are asked about.  `psi_product`
+multiplies those values once per (n, I, trunc), and `jab_sets` reads
+one table per rank, the index sets grouped by size and eps_I.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .rings import (
     ConfigError,
@@ -36,7 +28,7 @@ from .rings import (
     KeyedSum,
     NovikovFraction,
     NovikovSeries,
-    product,
+    table,
 )
 from .weylc import (
     SignedPerm,
@@ -57,7 +49,7 @@ def adjacent_in(n, I, a, b):
     return not any(lo < order_key(n, x) < hi for x in I)
 
 
-@lru_cache(maxsize=None)
+@table
 def _t_mono(n, a, b, trunc=None):
     """T_a T_{a+1} ... T_b (or Q_a ... Q_b) as a series monomial."""
     return NovikovSeries.monomial(n, _alpha_range(n, a, b), trunc=trunc)
@@ -81,7 +73,7 @@ def psi(n, I, j, trunc=None):
     return _psi(n, j, _case(n, frozenset(I), j), trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _psi(n, j, case, trunc):
     out = NovikovSeries.one(n, trunc)
     if j > 0:
@@ -103,7 +95,7 @@ def theta_sinf(n, I, j, trunc=None):
     return _theta_sinf(n, j, _case(n, frozenset(I), j), trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _theta_sinf(n, j, case, trunc):
     out = NovikovSeries.one(n, trunc)
     if j > 0:
@@ -124,7 +116,7 @@ def phi(n, I, j, trunc=None):
     return _phi(n, j, _case(n, frozenset(I), j), trunc)
 
 
-@lru_cache(maxsize=None)
+@table
 def _phi(n, j, case, trunc):
     if trunc is not None:
         return _phi(n, j, case, None).truncate(trunc)
@@ -145,9 +137,13 @@ def _phi(n, j, case, trunc):
     return out
 
 
+@table
 def psi_product(n, I, trunc=None):
-    return product(NovikovSeries.one(n, trunc),
-                   *(psi(n, I, j, trunc) for j in universe(n)))
+    """The product of psi_I(j) over [1,1bar], I a frozenset."""
+    out = NovikovSeries.one(n, trunc)
+    for j in universe(n):
+        out = out * psi(n, I, j, trunc)
+    return out
 
 
 class SemiModElement(KeyedSum):
@@ -308,16 +304,16 @@ def star_map(n, I):
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@table
 def _jab_table(n):
     """The subsets of [1,1bar] grouped by (size, eps_I), each group in
     `itertools.combinations` order."""
-    table = {}
+    groups = {}
     pool = universe(n)
     for k in range(len(pool) + 1):
         for I in itertools.combinations(pool, k):
-            table.setdefault((k, _eps_I(n, I)), []).append(frozenset(I))
-    return table
+            groups.setdefault((k, _eps_I(n, I)), []).append(frozenset(I))
+    return groups
 
 
 def jab_sets(n, A, B, k):

@@ -19,7 +19,7 @@ import itertools
 import time
 
 from . import alcove, ichevalley, qbg, qkpres, relations, semimod
-from .rings import identity_memo, specialize_Q_zero
+from .rings import clear_tables, specialize_Q_zero
 from .weylc import _alpha_range, enumerate_group, positive_roots
 
 SUITES = ("qbg", "alcove", "ic", "semimod", "relations", "qkpres")
@@ -169,15 +169,18 @@ def _suite_relations(n, trunc):
 def _factor_sweep(cid, n, trunc, left, right, target):
     """left * right = target at every (I, j), at the run's degree and
     exact.  The three functions are asked at every (I, j), and the
-    identity is decided once per triple of returned objects in this
-    sweep, so a function changed after a run is still read at the next."""
+    identity is decided once per triple of returned objects: a verdict
+    keeps its operands, so no id is reused while it is a key."""
     degree = trunc if trunc is not None else 2 * n + 2
     pool = semimod.universe(n)
-    holds = identity_memo(lambda a, b, c: a * b == c)
+    verdicts = {}
 
     def fails(I, j, trunc):
-        return not holds(left(n, I, j, trunc), right(n, I, j, trunc),
-                         target(n, I, j, trunc))
+        args = tuple(f(n, I, j, trunc) for f in (left, right, target))
+        key = tuple(map(id, args))
+        if key not in verdicts:
+            verdicts[key] = args, args[0] * args[1] != args[2]
+        return verdicts[key][1]
 
     return _sweep(cid, (
         "I=%s j=%s" % (I, j)
@@ -225,10 +228,14 @@ def run_suite(suite, n, mode="truncated", trunc=None):
     trunc = {"truncated": 2 * n + 2 if trunc is None else trunc,
              "exact": None}[mode]
     checks = []
-    begin = start = time.monotonic()
-    for cid, ok, location in _RUNNERS[suite](n, trunc):
-        now = time.monotonic()
-        checks.append((cid, ok, location, now - start))
-        start = now
-    return VerificationReport(suite, n, trunc, mode, checks,
-                              time.monotonic() - begin)
+    clear_tables()
+    try:
+        begin = start = time.monotonic()
+        for cid, ok, location in _RUNNERS[suite](n, trunc):
+            now = time.monotonic()
+            checks.append((cid, ok, location, now - start))
+            start = now
+        return VerificationReport(suite, n, trunc, mode, checks,
+                                  time.monotonic() - begin)
+    finally:
+        clear_tables()

@@ -12,10 +12,9 @@ coroots are stored in the alpha^vee basis.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
-from .rings import ConfigError, GroupRingElement
+from .rings import ConfigError, GroupRingElement, table
 
 
 def order_key(n, x):
@@ -112,10 +111,15 @@ class SignedPerm:
         return count
 
 
-def enumerate_group(n):
-    """All 2^n n! signed permutations, in a deterministic order."""
+def check_rank(n):
+    """Raise ConfigError unless `enumerate_group` lists W(C_n)."""
     if not 1 <= n <= 6:
         raise ConfigError("rank out of supported range 1..6")
+
+
+def enumerate_group(n):
+    """All 2^n n! signed permutations, in a deterministic order."""
+    check_rank(n)
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
@@ -159,7 +163,7 @@ def _labels(n):
             + [(i, -i) for i in range(1, n + 1)])
 
 
-@functools.lru_cache(maxsize=None)
+@table
 def positive_roots(n):
     """The n^2 positive roots of C_n, as a tuple built once per rank."""
     return tuple(RootC(n, i, j) for i, j in _labels(n))
@@ -204,7 +208,7 @@ def coroot_sum(n, cvs):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@table
 def rho_vector(n):
     """rho = half the sum of the positive roots eps_i - eps_j, in the
     eps-basis."""

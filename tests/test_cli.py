@@ -1,10 +1,13 @@
+import importlib
 import importlib.resources
 import json
+import pkgutil
 import threading
 
 import jsonschema
 import pytest
 
+import qkc
 from qkc import qbg, qkpres, relations, rings, semimod, verify
 from qkc.cli import MAX_TRUNC, main
 from qkc.rings import GroupRingElement, Poly
@@ -219,9 +222,7 @@ def _failing_with_psi_doubled_at_1_2(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["truncated", "exact"])
 def test_a_late_psi_fault_shows_in_semimod_and_qkpres(monkeypatch, mode):
-    # products and verdicts are kept per sequence of factor objects; a table
-    # keyed by the index set would hand out the clean run's products
-    rings.product.cache_clear()
+    # the products are kept per index set, but each run builds its own
     fresh = _failing_with_psi_doubled_at_1_2(monkeypatch, mode)
     assert fresh == [
         "rec-staircase-k0", "rec-staircase-k1", "rec-mountain-k2",
@@ -233,49 +234,71 @@ def test_a_late_psi_fault_shows_in_semimod_and_qkpres(monkeypatch, mode):
     assert _failing_with_psi_doubled_at_1_2(monkeypatch, mode) == fresh
 
 
-# Every table of built-once values, as the modules that call it look it up.
-SHARED_TABLES = [
-    (rings, "_series_one"), (rings, "_fraction_one"), (rings, "_den_poly"),
-    (semimod, "_t_mono"), (qkpres, "_t_mono"),
-    (semimod, "_psi"), (semimod, "_theta_sinf"), (semimod, "_phi"),
-    (qkpres, "_zeta"), (qkpres, "_eta"), (qkpres, "_z_factor"),
-    (semimod, "product"), (qkpres, "product"), (relations, "_elementary_row"),
-]
+def _table_lookups():
+    """(module, name, table) for every name under which a module of the
+    package looks up a registered table."""
+    modules = [importlib.import_module("qkc." + info.name)
+               for info in pkgutil.iter_modules(qkc.__path__)]
+    return [(module, name, value) for module in modules
+            for name, value in vars(module).items()
+            if any(value is table for table in rings.TABLES)]
 
 
 def _snapshot(value):
-    if isinstance(value, tuple):
+    """The contents of a value, down to ints, tuples and frozensets."""
+    if isinstance(value, (tuple, list)):
         return tuple(map(_snapshot, value))
-    if isinstance(value, rings.NovikovFraction):
-        return id(value.num), dict(value.num.terms), value.num.trunc, value.den
-    return dict(value.terms), value.trunc
+    if isinstance(value, dict):
+        return {key: _snapshot(v) for key, v in value.items()}
+    if isinstance(value, rings.Poly):
+        return dict(value.terms), value.trunc
+    if hasattr(value, "__slots__"):  # a fraction, a root or a permutation
+        return tuple(_snapshot(getattr(value, s)) for s in value.__slots__)
+    return value
 
 
 def test_shared_values_are_never_mutated(monkeypatch, capsys):
     handed_out, used = {}, set()
 
-    def recording(name, table):
+    def recording(table):
         def lookup(*args):
             value = table(*args)
-            handed_out[id(value)] = value
-            used.add(name)
+            if id(value) not in handed_out:
+                handed_out[id(value)] = value, _snapshot(value)
+            used.add(id(table))
             return value
         return lookup
 
-    for module, name in SHARED_TABLES:
-        table = getattr(module, name)
-        # earlier runs in this process may have filled the table already,
-        # and a filled table is never looked up again
-        table.cache_clear()
-        monkeypatch.setattr(module, name, recording(name, table))
+    for module, name, table in _table_lookups():
+        monkeypatch.setattr(module, name, recording(table))
     for mode in ("truncated", "exact"):
         assert run(capsys, "verify", "--n", "3", "--mode", mode)[0] == 0
     monkeypatch.undo()
-    assert used == {name for _, name in SHARED_TABLES}
-    before = {key: _snapshot(v) for key, v in handed_out.items()}
-    for mode in ("truncated", "exact"):
-        assert run(capsys, "verify", "--n", "3", "--mode", mode)[0] == 0
-    assert {key: _snapshot(v) for key, v in handed_out.items()} == before
+    assert used == set(map(id, rings.TABLES))
+    for value, snapshot in handed_out.values():
+        assert _snapshot(value) == snapshot
+
+
+def test_run_suite_starts_and_ends_with_every_table_empty(monkeypatch):
+    def filled():
+        return [table for table in rings.TABLES if table.cache_info().currsize]
+
+    seen = []
+
+    def runner(n, trunc):
+        seen.append(filled())
+        semimod.psi_product(n, frozenset(), trunc)
+        yield ("fills-a-table", True, "")
+        raise RuntimeError("a runner that raises")
+
+    semimod.psi_product(2, frozenset({1}))
+    assert filled()
+    monkeypatch.setitem(verify._RUNNERS, "semimod", runner)
+    with pytest.raises(RuntimeError):
+        run_suite("semimod", 2)
+    assert seen == [[]] and not filled()
+    monkeypatch.undo()
+    assert run_suite("qkpres", 2).ok and not filled()
 
 
 def _failing_checks(capsys, *argv):
@@ -386,30 +409,45 @@ def test_a_chain_walked_twice_fails_the_cancellation_check(monkeypatch,
             "cancellation pairing failed at j=")
 
 
+# The qkpres checks that fail in truncated mode under
+# faults.division_short_of_the_cut, in a fresh process.
+SHORT_DIVISION_FAILURES = {"zeta-eta-equals-phi", "phi-theta-equals-psi",
+                           "dictionary-f-to-module", "dictionary-variants"}
+
+
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_a_division_short_of_the_cut_fails_the_dictionary(monkeypatch,
                                                           capsys, n):
     # truncated to_semimod divides the F_l coefficients by (1 - T_j);
-    # the factor sweeps check each factor at degree 2n+2 in both modes.
-    # The fault lies under the tables of built-once values, so they are
-    # emptied before the runs, and after them of the broken values.
-    def clear_tables():
-        for module, name in SHARED_TABLES:
-            getattr(module, name).cache_clear()
-
-    clear_tables()
+    # the factor sweeps check each factor at degree 2n+2 in both modes
     faults.division_short_of_the_cut(monkeypatch.setattr)
-    try:
-        sweeps = {"zeta-eta-equals-phi", "phi-theta-equals-psi"}
-        code, failing = _failing_checks(capsys, "--n", n, "--suite", "qkpres")
-        assert code == 1
-        assert set(failing) == sweeps | {"dictionary-f-to-module",
-                                         "dictionary-variants"}
-        code, failing = _failing_checks(capsys, "--n", n, "--suite",
-                                        "qkpres", "--mode", "exact")
-        assert code == 1 and set(failing) == sweeps
-    finally:
-        clear_tables()
+    code, failing = _failing_checks(capsys, "--n", n, "--suite", "qkpres")
+    assert code == 1 and set(failing) == SHORT_DIVISION_FAILURES
+    code, failing = _failing_checks(capsys, "--n", n, "--suite", "qkpres",
+                                    "--mode", "exact")
+    assert code == 1
+    assert set(failing) == {"zeta-eta-equals-phi", "phi-theta-equals-psi"}
+
+
+def test_a_division_fault_after_a_clean_run_fails_as_in_a_fresh_process(
+        monkeypatch, capsys):
+    # the clean run builds phi, zeta and eta with the sound division; the
+    # run under the fault must build its own
+    assert run(capsys, "verify", "--n", "3")[0] == 0
+    faults.division_short_of_the_cut(monkeypatch.setattr)
+    code, failing = _failing_checks(capsys, "--n", "3", "--suite", "qkpres")
+    assert code == 1 and set(failing) == SHORT_DIVISION_FAILURES
+
+
+def test_a_rank_beyond_the_group_is_refused_before_any_suite_runs(
+        monkeypatch, capsys):
+    def run_suite(*args):
+        pytest.fail("a suite ran")
+
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    assert main(["verify", "--n", "7", "--suite", "semimod,qbg"]) == 2
+    assert capsys.readouterr().err == \
+        "error: rank out of supported range 1..6\n"
 
 
 def test_non_unit_pivot_fails_the_solution(monkeypatch, capsys):

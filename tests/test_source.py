@@ -62,6 +62,38 @@ def test_packed_term_map_stays_in_rings():
         assert not uses, (path.name, uses)
 
 
+# The only places that may name a memo decorator: `rings.table`, which
+# registers every table so that each run empties it, and a function that
+# builds a table afresh at each call.
+MEMO_NAMES = {"lru_cache", "cache", "identity_memo"}
+MEMO_SITES = {("rings.py", "table"), ("relations.py", "csym_nested_lhs")}
+
+
+def test_every_memo_outside_a_call_is_a_table():
+    for path in SOURCES:
+        found = []
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for child in node.decorator_list:
+                    visit(child, function)
+                scope = (node.name if isinstance(node, ast.FunctionDef)
+                         else function)
+                for child in node.body:
+                    visit(child, scope)
+                return
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in MEMO_NAMES and (path.name, function) \
+                    not in MEMO_SITES:
+                found.append((node.lineno, name))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(), str(path)), None)
+        assert not found, (path.name, found)
+
+
 # Every statement of `src/qkc` runs in one of the runs below: a command
 # that exits 0, a usage error that exits 2, or a named fault of
 # tests/faults.py under which a command exits 1.  Code that none of them
@@ -106,6 +138,7 @@ USAGE = [
     ["verify", "--suite", "bogus"],
     ["show", "ff", "--n", "2", "--l", "1", "--variant", "x"],
     ["verify", "--n", "7", "--suite", "qbg"],
+    ["verify", "--n", "7", "--suite", "semimod,qbg"],
     ["qbg", "export", "--n", "5"],
     ["ic", "--w", "[-2,1]", "--m", "3"],
     ["alcove", "list", "--w", "[2,-1]", "--seq", "theta:3"],
