@@ -159,15 +159,15 @@ def cancellation_report(n, k):
     makes the check false, and the first such fault is named under
     "location".
     """
-    blocks = {}  # chain -> (A-labels, block), in walk order
+    blocks = {}  # chain -> block, in walk order
     location = ""
-    for chain, alist, block in _chain_blocks(mountain(n, k), k):
+    for chain, _, block in _chain_blocks(mountain(n, k), k):
         if chain and chain[-1] > 0:
             if chain in blocks:  # each chain has one term to pair
                 location = location or (
                     "cancellation pairing failed at j=%d l=%d"
                     % (chain[-1], next(x for x in chain if x > 0)))
-            blocks[chain] = (tuple(a.render() for a in alist), block)
+            blocks[chain] = block
 
     def family(j, l, top):
         """The chain of a proof family: k+1bar, ..., (top-1)bar, then
@@ -182,7 +182,7 @@ def cancellation_report(n, k):
             if c1 not in blocks or c2 not in blocks:
                 location = location or (
                     "cancellation pairing failed at j=%d l=%d" % (j, l))
-            elif not (blocks[c1][1] + blocks[c2][1]).is_zero():
+            elif not (blocks[c1] + blocks[c2]).is_zero():
                 location = location or (
                     "paired terms do not cancel at j=%d l=%d" % (j, l))
             else:
@@ -191,12 +191,11 @@ def cancellation_report(n, k):
 
     # the survivors must be exactly the chains (k, k-1, ..., j) with
     # j <= k, and add up to the closed form's unbarred block
-    survivors = [(chain[-1], chain, labels)
-                 for chain, (labels, block) in blocks.items()
+    survivors = [(chain[-1], chain) for chain, block in blocks.items()
                  if not block.is_zero()]
     expect = {tuple(range(k, j - 1, -1)) for j in range(1, k + 1)}
-    residual = SemiClassSum.sum_of(n, (block for _, block in blocks.values()))
-    ok = (not location and {chain for _, chain, _ in survivors} == expect
+    residual = SemiClassSum.sum_of(n, blocks.values())
+    ok = (not location and {chain for _, chain in survivors} == expect
           and residual == _staircase_block(n, k, n))
 
     return {

@@ -146,10 +146,11 @@ def _e_row(n, coords, m):
     return [GroupRingElement(n, terms) for terms in row]
 
 
-def _hyperbolic_vars(n, k):
-    """e^{eps_1}, ..., e^{eps_k}, e^{-eps_k}, ..., e^{-eps_1} in rank n."""
-    signed = list(range(1, k + 1)) + list(range(-k, 0))
-    return [_mono(n, _eps(n, j)) for j in signed]
+def _hyperbolic(n, coords):
+    """e^{eps_j} for j in coords, then e^{-eps_j} for j in reversed(coords),
+    in rank n."""
+    return ([_mono(n, _eps(n, j)) for j in coords]
+            + [_mono(n, _eps(n, j, -1)) for j in reversed(coords)])
 
 
 @table
@@ -206,23 +207,24 @@ def check_csym_props(n_max=4):
     hyperbolic variables (not of the closed form, which has it built in)."""
     degrees = range(1, 7)
     for nv in range(1, n_max + 1):
-        ok = _h_row(_hyperbolic_vars(nv, nv), 0) == [GroupRingElement.one(nv)]
+        row = _h_row(_hyperbolic(nv, range(1, nv + 1)), 0)
+        ok = row == [GroupRingElement.one(nv)]
         yield ("csym-1-n%d" % nv, ok, "")
-    hd = _diffs(_h_row(_hyperbolic_vars(1, 1), degrees[-1]))
+    hd = _diffs(_h_row(_hyperbolic(1, [1]), degrees[-1]))
     for m in degrees:
         ok = _mono(1, (m,)) + _mono(1, (-m,)) == hd[m]
         yield ("csym-2-m%d" % m, ok, "")
     # csym-3: the nested sum in two variables (any n_max); csym-4: more
     for nv in range(2, max(n_max, 2) + 1):
         variables = [_mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
-        hd = _diffs(_h_row(_hyperbolic_vars(nv, nv), degrees[-1]))
+        hd = _diffs(_h_row(_hyperbolic(nv, range(1, nv + 1)), degrees[-1]))
         for m in degrees:
             ok = csym_nested_lhs(variables, m) == hd[m]
             cid = "csym-3-m%d" % m if nv == 2 else "csym-4-n%d-m%d" % (nv, m)
             yield (cid, ok, "")
     for n in range(1, n_max + 1):
         one = GroupRingElement.one(n)
-        e = _t_factors([one], _hyperbolic_vars(n, n), 2 * n)
+        e = _t_factors([one], _hyperbolic(n, range(1, n + 1)), 2 * n)
         for l in range(1, n + 1):
             ok = e[n + l] == e[n - l]
             yield ("elementary-symmetry-n%d-l%d" % (n, l), ok, "")
@@ -231,7 +233,7 @@ def check_csym_props(n_max=4):
 def system_row(n, k):
     """Row k of the triangular system:
     sum over l <= n-k of (-1)^l (H^{k+1}_{n-l-k} - H^{k+1}_{n-l-k-2}) X_l."""
-    hd = _diffs(_h_row(_hyperbolic_vars(n, k + 1), n - k))
+    hd = _diffs(_h_row(_hyperbolic(n, range(1, k + 2)), n - k))
     zero = GroupRingElement.zero(n)
     return tuple(hd[n - l - k] * (-1) ** l if l <= n - k else zero
                  for l in range(n + 1))
@@ -333,12 +335,6 @@ def _t_trim(a):
     return list(a)
 
 
-def _tail_vars(n, k):
-    """The hyperbolic variables outside row k: e^{+-eps_{k+2..n}}."""
-    tail = [_mono(n, _eps(n, j)) for j in range(k + 2, n + 1)]
-    return tail + [_mono(n, _eps(n, j, -1)) for j in range(n, k + 1, -1)]
-
-
 def _gf_row_products(n, k, d_t):
     """The t-polynomials the row-k checks compare, truncated at d_t, with
     H(t) = sum h_l t^l over the 2(k+1) variables x of row k:
@@ -346,8 +342,8 @@ def _gf_row_products(n, k, d_t):
     (1 - t^2) H(-t) prod over all 2n variables of (1 + x t), and
     (1 - t^2) prod over the tail variables of (1 + x t)."""
     one = GroupRingElement.one(n)
-    hv = _hyperbolic_vars(n, k + 1)
-    tail = _tail_vars(n, k)
+    hv = _hyperbolic(n, range(1, k + 2))
+    tail = _hyperbolic(n, range(k + 2, n + 1))  # the variables outside row k
     minus = [-x for x in hv]
     hs = _h_row(hv, d_t)
     hd = _diffs(hs)
@@ -385,7 +381,7 @@ def check_generating_identities(n):
         ok = ok and rhs == _t_trim(expect)
         ok = ok and (len(lhs) <= n - k or lhs[n - k].is_zero())
         yield ("gf-3-k%d" % k, ok, "")
-    prod = _t_factors([one], _hyperbolic_vars(n, n), d_t)
+    prod = _t_factors([one], _hyperbolic(n, range(1, n + 1)), d_t)
     ok = _t_trim(prod) == _t_trim([elementary_E(n, m)
                                    for m in range(2 * n + 1)])
     yield ("gf-2", ok, "")

@@ -12,9 +12,9 @@ operations, `a.add_shifted(x, b)` is a + x*b for a one-term x, fused
 into one pass over b's terms: the step of a recurrence such as
 h_d += x h_{d-1} then builds no shifted copy to merge.
 
-Three subclasses fix the layout, the constructors and the printed form;
-they have no arithmetic of their own.  In the order of the exponent
-tuple, most significant slot first:
+Three subclasses fix the layout, the monomials and the printed form;
+they have no arithmetic and no constructor of their own.  In the order
+of the exponent tuple, most significant slot first:
 
 * GroupRingElement -- the group ring Z[P] = Z[e^{+-eps_1}, ..., e^{+-eps_n}],
   keys (w_1..w_n), the exponent vector in the eps-basis.
@@ -41,8 +41,10 @@ where each pair of terms would fit, so no term is checked and a key
 never wraps into its neighbour slot.
 
 The packed map is private to this module.  `.terms` is a decoded copy
-with the exponent tuples above as keys, `sorted_terms` lists the terms in
-the order of those tuples, and constructors take tuple-keyed dicts.
+with the exponent tuples above as keys, and `sorted_terms` lists the
+terms in the order of those tuples.  Every layout is built the same way,
+as `cls(n, terms=None, trunc=None)` from a tuple-keyed dict, with the
+units `cls.zero(n, trunc=None)` and `cls.one(n, trunc=None)`.
 
 NovikovFraction is the denominator-cleared exact mode: an exact
 NovikovSeries numerator together with multiplicities of (1 - x_j) factors
@@ -61,13 +63,12 @@ printed form; a sum is multiplied only by a ring element, with `scale`.
 
 Values are immutable and may be shared between callers: every operation
 returns a new value, and no code mutates a term map (or a fraction's
-numerator and denominator) in place.  The units and the fraction
-denominators are therefore built once per argument tuple and handed out
-to every caller.
-
-Every value kept between calls is kept in a `table`, built once per
-argument tuple.  `verify.run_suite` empties every table when it starts
-and again when it ends, so no value outlives the run that built it.
+numerator and denominator) in place.  Every value kept between calls is
+kept in a `table`, built once per argument tuple and handed out to every
+caller; here the only tables of ring values are the fraction
+denominators, and a unit is built anew on each call.  `verify.run_suite`
+empties every table when it starts and again when it ends, so no value
+outlives the run that built it.
 """
 
 from __future__ import annotations
@@ -205,12 +206,12 @@ class Poly:
         return {decode(k): v for k, v in self._packed.items()}
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def zero(cls, n, trunc=None):
+        return cls._make(n, trunc, {}, 0)
 
     @classmethod
-    def one(cls, n):
-        return cls._make(n, None, {0: 1}, 0)
+    def one(cls, n, trunc=None):
+        return cls._make(n, trunc, {0: 1}, 0)
 
     def is_zero(self):
         return not self._packed
@@ -442,17 +443,6 @@ class NovikovSeries(Poly):
     __slots__ = ()
     _level = 2
 
-    def __init__(self, n, trunc, terms=None):
-        Poly.__init__(self, n, terms, trunc)
-
-    @classmethod
-    def zero(cls, n, trunc=None):
-        return cls(n, trunc)
-
-    @classmethod
-    def one(cls, n, trunc=None):
-        return _series_one(n, trunc)
-
     @classmethod
     def variable(cls, n, j, trunc=None):
         """The series variable x_j, 1-based."""
@@ -462,17 +452,12 @@ class NovikovSeries(Poly):
                             trunc=trunc)
 
     @classmethod
-    def monomial(cls, n, exps, coeff=1, trunc=None):
-        """x^exps times an int, GroupRingElement or QExtElement coeff."""
+    def monomial(cls, n, exps, *, trunc=None):
+        """x^exps; a coefficient is a product with it."""
         exps = tuple(exps)
         if any(a < 0 for a in exps):
             raise ConfigError("series exponents must be non-negative")
-        if isinstance(coeff, int):
-            coeff = QExtElement.one(n) * coeff
-        if not isinstance(coeff, Poly) or coeff._level > 1 or coeff.n != n:
-            raise ConfigError("cannot use %r as a coefficient" % (coeff,))
-        head = (sum(exps),) + exps + (0,) * (1 - coeff._level)
-        return cls(n, trunc, {head + k: v for k, v in coeff.terms.items()})
+        return cls(n, {(sum(exps),) + exps + (0,) * (n + 1): 1}, trunc)
 
     def with_trunc(self, trunc):
         """Re-truncate (or lift an exact polynomial) to the given degree.
@@ -480,7 +465,7 @@ class NovikovSeries(Poly):
         the exponent bound is theirs."""
         cut = _cut(self.n, trunc)
         if cut is not None and max(self._packed, default=0) >= cut:
-            return NovikovSeries(self.n, trunc, self.terms)
+            return NovikovSeries(self.n, self.terms, trunc)
         return NovikovSeries._make(self.n, trunc, self._packed, self._reach)
 
     def _div_one_minus(self, j):
@@ -525,7 +510,7 @@ class NovikovFraction:
 
     @classmethod
     def one(cls, n):
-        return _fraction_one(n)
+        return cls(n, NovikovSeries.one(n))
 
     @classmethod
     def geometric(cls, n, j):
@@ -613,16 +598,6 @@ class NovikovFraction:
 
     def __repr__(self):
         return "NovikovFraction(%r)" % self.render()
-
-
-@table
-def _series_one(n, trunc):
-    return NovikovSeries.monomial(n, (0,) * n, trunc=trunc)
-
-
-@table
-def _fraction_one(n):
-    return NovikovFraction(n, NovikovSeries.one(n))
 
 
 @table

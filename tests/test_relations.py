@@ -190,7 +190,7 @@ def test_nested_sum_covers_two_to_five_variables():
     for nv in range(2, 6):
         variables = [mono(nv, _eps(nv, j)) for j in range(1, nv + 1)]
         hd = relations._diffs(
-            relations._h_row(relations._hyperbolic_vars(nv, nv), 6))
+            relations._h_row(relations._hyperbolic(nv, range(1, nv + 1)), 6))
         for m in range(7):
             assert csym_nested_lhs(variables, m) == hd[m], (nv, m)
 
@@ -273,7 +273,7 @@ def test_generating_identities():
 def test_row_matches_complete_h():
     n, k = 3, 1
     row = system_row(n, k)
-    hv = relations._hyperbolic_vars(n, k + 1)
+    hv = relations._hyperbolic(n, range(1, k + 2))
     for l in range(n - k + 1):
         expect = h_brute(n, hv, n - l - k)
         if n - l - k >= 2:
@@ -314,9 +314,9 @@ def _dense_gf_products(n, k, d_t):
     t-polynomials, in the order relations._gf_row_products returns them."""
     one, zero = GroupRingElement.one(n), GroupRingElement.zero(n)
     denom = [one]
-    for x in relations._hyperbolic_vars(n, k + 1):
+    for x in relations._hyperbolic(n, range(1, k + 2)):
         denom = _t_mul(denom, [one, -x], d_t)
-    hs = relations._h_row(relations._hyperbolic_vars(n, k + 1), d_t)
+    hs = relations._h_row(relations._hyperbolic(n, range(1, k + 2)), d_t)
     hd = [hs[l] - (hs[l - 2] if l >= 2 else zero) for l in range(d_t + 1)]
     alt = [c if l % 2 == 0 else -c for l, c in enumerate(hd)]
     es = [elementary_E(n, m) for m in range(2 * n + 1)]
@@ -340,10 +340,10 @@ def test_gf_products_match_dense_products():
             assert got == _dense_gf_products(n, k, d_t), (n, k)
         one = GroupRingElement.one(n)
         dense = [one]
-        for x in relations._hyperbolic_vars(n, n):
+        for x in relations._hyperbolic(n, range(1, n + 1)):
             dense = _t_mul(dense, [one, x], d_t)
-        factors = relations._t_factors([one], relations._hyperbolic_vars(n, n),
-                                       d_t)
+        factors = relations._t_factors(
+            [one], relations._hyperbolic(n, range(1, n + 1)), d_t)
         assert factors == dense
         es = [elementary_E(n, m) for m in range(2 * n + 1)]
         assert relations._t_trim(factors) == es, n

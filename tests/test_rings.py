@@ -8,6 +8,7 @@ from qkc.rings import (
     GroupRingElement,
     NovikovFraction,
     NovikovSeries,
+    Poly,
     QExtElement,
     ZLaurentElement,
     exact_div,
@@ -67,7 +68,7 @@ def test_phi_style_factor_expansion():
 def test_a_term_dropped_by_the_cut_leaves_no_exponent_bound():
     x = NovikovSeries.variable(1, 1, trunc=2)
     by_monomial = NovikovSeries.monomial(1, (MAX_EXPONENT,), trunc=2)
-    by_constructor = NovikovSeries(1, 2, {(MAX_EXPONENT,) * 2 + (0, 0): 1})
+    by_constructor = NovikovSeries(1, {(MAX_EXPONENT,) * 2 + (0, 0): 1}, 2)
     cut = NovikovSeries.monomial(1, (MAX_EXPONENT,)).with_trunc(2)
     for zero in (by_monomial, by_constructor, cut):
         assert zero.is_zero() and zero == by_constructor
@@ -139,7 +140,7 @@ def test_render_is_stable():
     assert x.render() == "-2*e[0,-1] + e[1,0]"
     assert (x - x).render() == "0"
     assert QExtElement.monomial(n, (0, 1), -1, -2).render() == "-q^-2*e[0,1]"
-    s = NovikovSeries.monomial(n, (2, 0), coeff=QExtElement.monomial(n, (0, 0), qexp=1))
+    s = NovikovSeries.monomial(n, (2, 0)) * QExtElement.monomial(n, (0, 0), qexp=1)
     assert s.render() == "(q)*Q1^2"
 
 
@@ -185,7 +186,7 @@ def test_division_by_one_minus_x_is_two_sided(j, d):
 
 nov = st.builds(
     lambda terms: sum(
-        (NovikovSeries.monomial(1, (k,), QExtElement.monomial(1, (w,), coeff=c))
+        (NovikovSeries.monomial(1, (k,)) * QExtElement.monomial(1, (w,), coeff=c)
          for k, w, c in terms), NovikovSeries.zero(1)),
     st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2),
                        st.integers(-4, 4)), max_size=4),
@@ -212,8 +213,8 @@ def test_cross_layout_equality_is_symmetric():
         GroupRingElement.one(n), GroupRingElement.one(n) * 2, e1,
         QExtElement.one(n), QExtElement.monomial(n, (1, 0)),
         QExtElement.monomial(n, (1, 0), qexp=1),
-        NovikovSeries.one(n, 4), NovikovSeries.monomial(n, (0, 0), e1, 4),
-        NovikovSeries.one(n), NovikovSeries.monomial(n, (0, 0), e1),
+        NovikovSeries.one(n, 4), NovikovSeries.one(n, 4) * e1,
+        NovikovSeries.one(n), NovikovSeries.one(n) * e1,
         NovikovSeries.variable(n, 1, 4), NovikovSeries.variable(n, 1),
         NovikovFraction.one(n), NovikovFraction.one(n) * e1,
         NovikovFraction.geometric(n, 1),
@@ -226,13 +227,46 @@ def test_cross_layout_equality_is_symmetric():
             hash(a)
     assert GroupRingElement.one(n) == QExtElement.one(n)
     assert GroupRingElement.one(n) == 1
-    assert NovikovSeries.monomial(n, (0, 0), e1) == NovikovFraction.one(n) * e1
+    assert NovikovSeries.one(n) * e1 == NovikovFraction.one(n) * e1
     # a truncated series and an exact fraction are values of different
     # modes, unequal either way round (as series of different truncs are)
     assert NovikovSeries.one(n, 4) != NovikovFraction.one(n)
     assert NovikovFraction.one(n) != NovikovSeries.one(n, 4)
     assert NovikovSeries.one(n, 4) != NovikovSeries.one(n)
     assert NovikovSeries.one(n, 4) == 1 == NovikovSeries.one(n)
+
+
+def test_every_layout_is_built_from_n_terms_and_trunc():
+    n = 2
+    keys = {GroupRingElement: (1, -1), QExtElement: (2, 1, -1),
+            NovikovSeries: (1, 1, 0, 2, 1, -1)}
+    for cls, key in keys.items():
+        unit = (0,) * len(key)
+        terms = {key: 3, unit: -1}
+        assert cls(n, terms) == cls(n, terms, None)
+        assert cls(n, terms).terms == cls(n, terms, 3).terms == terms
+        for trunc in (None, 0, 3):
+            for got, expect in ((cls.zero(n, trunc), {}),
+                                (cls.one(n, trunc), {unit: 1})):
+                built = cls(n, expect, trunc)
+                assert type(got) is cls and got.trunc == trunc
+                assert got == built and got.terms == built.terms == expect
+    assert NovikovFraction.one(n) == NovikovFraction(n, NovikovSeries.one(n))
+    assert NovikovFraction.one(n).den == (0,) * n
+    # a coefficient is a product: a stale coefficient argument raises
+    with pytest.raises(TypeError):
+        NovikovSeries.monomial(n, (1, 0), e(n, 1, 0))
+
+
+def test_no_layout_defines_its_own_constructor_or_units():
+    layouts, todo = [], [Poly]
+    while todo:
+        sub = todo.pop().__subclasses__()
+        layouts += sub
+        todo += sub
+    assert {GroupRingElement, QExtElement, NovikovSeries} <= set(layouts)
+    for cls in layouts:
+        assert not {"__init__", "zero", "one"} & set(vars(cls)), cls
 
 
 # An oracle that shares no code with the kernel: sympy expands the same
@@ -311,7 +345,7 @@ def elements(draw, cls, trunc=None):
             key = (0,) * len(key)
         terms[key] = draw(st.integers(-4, 4).filter(bool))
     if cls is NovikovSeries:
-        return NovikovSeries(N, trunc, terms)
+        return NovikovSeries(N, terms, trunc)
     return cls(N, terms)
 
 
@@ -373,7 +407,7 @@ def test_fraction_equality_matches_sympy(fa, data):
         k = data.draw(st.integers(1, 2))
         num = oracle_terms(to_expr(fa.num) * (1 - X[j]) ** k, NovikovSeries)
         den = tuple(d + k * (i == j) for i, d in enumerate(fa.den))
-        fb = NovikovFraction(N, NovikovSeries(N, None, num), den)
+        fb = NovikovFraction(N, NovikovSeries(N, num), den)
     else:
         fb = data.draw(fractions())
     expect = sympy.cancel(fraction_expr(fa) - fraction_expr(fb)) == 0
@@ -408,7 +442,7 @@ def edge_elements(draw, cls, trunc=None):
             key = (deg, x1, deg - x1) + key
         terms[key] = draw(st.integers(-3, 3).filter(bool))
     if cls is NovikovSeries:
-        return NovikovSeries(N, trunc, terms)
+        return NovikovSeries(N, terms, trunc)
     return cls(N, terms)
 
 
@@ -469,7 +503,7 @@ def test_cut_keeps_degree_trunc_with_the_most_negative_lower_slots():
         at = (trunc, trunc, 0) + low
         above = (trunc + 1, 0, trunc + 1) + low
         top = (trunc, 0, trunc) + (M,) * (N + 1)
-        s = NovikovSeries(N, trunc, {at: 1, above: 2, top: 3})
+        s = NovikovSeries(N, {at: 1, above: 2, top: 3}, trunc)
         assert s.terms == {at: 1, top: 3}
         assert s.sorted_terms() == sorted(s.terms.items())
 
@@ -480,7 +514,7 @@ def test_cut_at_the_ends_of_the_series_layout():
     lower = 2 * N + 1
 
     def series(trunc, *keys):
-        return NovikovSeries(N, trunc, {k: 1 for k in keys})
+        return NovikovSeries(N, {k: 1 for k in keys}, trunc)
 
     for trunc in (0, 1, 5):
         last = (trunc,) + (M,) * lower  # the greatest key of degree trunc
@@ -512,8 +546,8 @@ def test_exponents_past_the_bound_raise_and_never_wrap():
                  lambda: e(N, 2, 0) ** (M // 2 + 1),
                  lambda: GroupRingElement.one(N).add_shifted(top, e(N, 1, 0)),
                  lambda: QExtElement.monomial(N, (0, 0), qexp=M)
-                 * NovikovSeries.monomial(N, (1, 0), QExtElement.monomial(
-                     N, (0, 0), qexp=1))):
+                 * (NovikovSeries.monomial(N, (1, 0))
+                    * QExtElement.monomial(N, (0, 0), qexp=1))):
         with pytest.raises(ConfigError):
             make()
     # a product raises once its operands' bounds add up past M, even
@@ -543,7 +577,7 @@ def test_add_shifted_matches_add_and_multiply(data):
     assert got == expect
     two = GroupRingElement.one(N) + e(N, 1, 0)
     two_q = QExtElement.monomial(N, (0, 0)) + QExtElement.monomial(N, (1, 0))
-    for bad in (two, two_q, NovikovSeries.monomial(N, (0, 0), two, trunc), 2,
+    for bad in (two, two_q, NovikovSeries.one(N, trunc) * two, 2,
                 GroupRingElement.zero(N)):
         with pytest.raises(ConfigError):
             a.add_shifted(bad, b)
